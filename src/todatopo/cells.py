@@ -106,43 +106,56 @@ class Cell:
         return self.diagram.rank - self.codim
 
 
-def _act_letters(letters, diagram: ColoredDynkinDiagram, C: CartanMatrix):
-    """Signed action of a word (applied right to left) on a colored diagram."""
-    S = diagram.S
-    for i in letters:
-        if i not in S:
-            raise NotInSubgroupError(
-                f"letter {i} is not in the colored set {sorted(S)}; element outside W_S"
-            )
-    colors = dict(diagram.colors)
-    uncolored = diagram.uncolored
-    colsum_parity = {}
-    rowflips = {}
-    for i in set(letters):
-        colsum_parity[i] = sum(C.entry(j, i) for j in uncolored) % 2
-        rowflips[i] = tuple(j for j in sorted(S) if C.entry(j, i) % 2)
+def _masks(diagram: ColoredDynkinDiagram) -> tuple[int, int]:
+    """The colored set and the Red vertices of a diagram, as bit masks."""
+    S = red = 0
+    for v, s in diagram.colors:
+        S |= 1 << (v - 1)
+        if s == RED:
+            red |= 1 << (v - 1)
+    return S, red
+
+
+def _odd_columns(C: CartanMatrix) -> list[int]:
+    """Per letter s_(i+1), the mask of vertices j with C_{j,i} odd."""
+    return [sum(1 << j for j, row in enumerate(C.entries) if row[i] % 2) for i in range(C.rank)]
+
+
+def _act(letters, S: int, red: int, odd) -> tuple[int, int]:
+    """Orientation sign and Red mask after zero-based letters, first letter first.
+
+    The parity of a column sum over the uncolored vertices is the parity of
+    the count of its odd entries there."""
     sign = 1
-    for i in reversed(letters):
-        if colors[i] == RED:
-            if colsum_parity[i]:
+    for i in letters:
+        if red >> i & 1:
+            if (odd[i] & ~S).bit_count() & 1:
                 sign = -sign
-            for j in rowflips[i]:
-                colors[j] = -colors[j]
-    return sign, ColoredDynkinDiagram(diagram.rank, tuple(sorted(colors.items())))
+            red ^= odd[i] & S
+    return sign, red
 
 
 def ws_act_on_diagram(
     x: WeylElement, diagram: ColoredDynkinDiagram, C: CartanMatrix
 ) -> ColoredDynkinDiagram:
     """Color permutation induced by x in W_S on a diagram colored on S."""
-    return _act_letters(x.word, diagram, C)[1]
+    return ws_act_oriented(x, diagram, C)[1]
 
 
 def ws_act_oriented(
     x: WeylElement, diagram: ColoredDynkinDiagram, C: CartanMatrix
 ) -> tuple[int, ColoredDynkinDiagram]:
     """Color permutation together with the orientation sign of the gluing."""
-    return _act_letters(x.word, diagram, C)
+    S = diagram.S
+    for i in x.word:
+        if i not in S:
+            raise NotInSubgroupError(
+                f"letter {i} is not in the colored set {sorted(S)}; element outside W_S"
+            )
+    smask, red = _masks(diagram)
+    sign, red = _act([i - 1 for i in reversed(x.word)], smask, red, _odd_columns(C))
+    colors = tuple((v, RED if red >> (v - 1) & 1 else BLUE) for v, _ in diagram.colors)
+    return sign, ColoredDynkinDiagram(diagram.rank, colors)
 
 
 def diagram_boundary(
@@ -196,7 +209,8 @@ class ChainComplex:
 
     ``bases[k]`` is the ordered basis in degree k (cell dimension k);
     ``boundaries[k]`` maps degree k to degree k-1, with ``boundaries[0]``
-    the empty map out of degree 0.
+    the empty map out of degree 0.  Construction checks the shapes and the
+    square-zero identity.
     """
 
     bases: tuple[tuple, ...]
@@ -211,6 +225,7 @@ class ChainComplex:
             want_rows = len(self.bases[k - 1]) if k > 0 else 0
             if mat.rows != want_rows:
                 raise CorruptComplexError(f"boundary {k} has wrong row count")
+        self.validate()
 
     @property
     def top_degree(self) -> int:
@@ -240,29 +255,33 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
 
     Boundary of a cell (D, [w]): for each (j, c) the colored diagram gains
     a vertex with the literal sign, the coset is re-minimized in the larger
-    parabolic, and the residual is pushed onto the diagram with its
-    orientation sign.  The square-zero identity is verified on build.
+    parabolic, and the residual rep^-1 * w, spelled by the walk that finds
+    rep, is pushed onto the diagram with its orientation sign.
     """
-    C = W.cartan
+    odd = _odd_columns(W.cartan)
     l = W.rank
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
-    index = [{cell: i for i, cell in enumerate(basis)} for basis in bases]
+    index = [
+        {(*_masks(cell.diagram), cell.rep.position): i for i, cell in enumerate(basis)}
+        for basis in bases
+    ]
     boundaries = [IntMatrix(0, len(bases[0]), {})]
     for k in range(1, l + 1):
         acc: dict[tuple[int, int], int] = {}
+        faces: dict[ColoredDynkinDiagram, list] = {}
         for col, cell in enumerate(bases[k]):
-            uncolored = cell.diagram.uncolored
-            for j in range(1, len(uncolored) + 1):
-                for c in (1, 2):
-                    sgn, d1 = diagram_boundary(cell.diagram, j, c)
-                    rep = W.min_coset_rep(cell.rep, d1.colored_vertices)
-                    x = W.multiply(W.inverse(rep), cell.rep)
-                    osgn, d2 = ws_act_oriented(x, d1, C)
-                    row = index[k - 1][Cell(d2, rep)]
-                    key = (row, col)
-                    acc[key] = acc.get(key, 0) + sgn * osgn
+            D = cell.diagram
+            if D not in faces:
+                faces[D] = [
+                    (sgn, *_masks(face))
+                    for j in range(1, len(D.uncolored) + 1)
+                    for sgn, face in (diagram_boundary(D, j, 1), diagram_boundary(D, j, 2))
+                ]
+            for sgn, S, red in faces[D]:
+                rep, letters = W._coset_walk(cell.rep.position, S)
+                osgn, red = _act(letters, S, red, odd)
+                key = (index[k - 1][(S, red, rep)], col)
+                acc[key] = acc.get(key, 0) + sgn * osgn
         entries = {key: v for key, v in acc.items() if v}
         boundaries.append(IntMatrix(len(bases[k - 1]), len(bases[k]), entries))
-    cx = ChainComplex(bases, tuple(boundaries))
-    cx.validate()
-    return cx
+    return ChainComplex(bases, tuple(boundaries))

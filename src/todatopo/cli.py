@@ -22,8 +22,8 @@ from .lie import cartan_matrix, generate_weyl_group
 from .morse import (
     SIGMA_INTERPRETATIONS,
     betti_one,
+    _complex_from_edges,
     conjectured_betti,
-    morse_complex,
     morse_smale_edges,
     label,
     index,
@@ -187,7 +187,7 @@ def cmd_morse(args) -> int:
             }
             for e in edges
         ]
-        cx = morse_complex(W, config.sigma)
+        cx = _complex_from_edges(W, edges)
         groups = homology_of(cx)
         obj["morse_homology"] = [
             {"degree": k, "free_rank": g.free_rank, "torsion": list(g.torsion)}
@@ -350,8 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _take_signs(argv: list) -> tuple[list, str | None]:
+    """Split the value off ``--signs X`` or ``--signs=X``.
+
+    argparse reads a value such as '-+' as an option and drops the value
+    '--', so it is handed an empty ``--signs=`` and the value is set after.
+    """
+    for k, tok in enumerate(argv):
+        if tok == "--signs" and k + 1 < len(argv):
+            return argv[:k] + ["--signs="] + argv[k + 2 :], argv[k + 1]
+        if tok.startswith("--signs="):
+            return argv[:k] + ["--signs="] + argv[k + 1 :], tok[len("--signs=") :]
+    return argv, None
+
+
 def main(argv=None) -> int:
+    argv, signs = _take_signs(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
+    if signs is not None:
+        args.signs = signs
     try:
         return args.func(args)
     except TodatopoError as exc:

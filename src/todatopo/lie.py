@@ -1,11 +1,12 @@
 """Cartan matrices and finite Weyl groups.
 
-Group elements are represented by their permutation action on the full
-root set, generated from the Cartan matrix alone; this is faithful for
-every finite type.  Each element caches its length and its
-lexicographically smallest reduced word, which doubles as the canonical
-serialized form.  Simple roots are one-indexed throughout the public
-API and node numbering follows the Bourbaki tables.
+The group is enumerated once through its faithful action on the root
+set; after that an element is its position in the (length, word) order,
+and products, inverses and coset representatives are walks along one
+table of right multiplications by simple reflections.  Each element
+keeps its length and its lexicographically smallest reduced word, the
+canonical serialized form.  Simple roots are one-indexed throughout the
+public API and node numbering follows the Bourbaki tables.
 
 The convention for the matrix is ``entry(i, j) = <alpha_i, coroot(alpha_j)>``,
 so a simple reflection acts on simple roots by
@@ -15,7 +16,6 @@ so a simple reflection acts on simple roots by
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -178,26 +178,28 @@ def _reflect_root(entries, beta, i):
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """Group element: root permutation plus cached length and reduced word.
+    """Group element: its position in the group's (length, word) order.
 
     ``word`` is the lexicographically smallest reduced word, as one-based
-    simple-reflection indices; it is the canonical serialization.
+    simple-reflection indices; it is the canonical serialization.  ``perm``
+    is the action on the group's roots, read only while enumerating.
     """
 
     group: "WeylGroup" = field(repr=False)
     perm: tuple[int, ...] = ()
     word: tuple[int, ...] = ()
     length: int = 0
+    position: int = 0
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
             and self.group is other.group
-            and self.perm == other.perm
+            and self.position == other.position
         )
 
     def __hash__(self):
-        return hash(self.perm)
+        return self.position
 
     def __mul__(self, other):
         return self.group.multiply(self, other)
@@ -212,12 +214,18 @@ class WeylElement:
         return f"WeylElement({self.word_str()})"
 
 
+def _mask(S) -> int:
+    """Bit i - 1 set for each simple-root index i in S."""
+    return sum(1 << (i - 1) for i in set(S))
+
+
 class WeylGroup(Sequence):
     """Fully enumerated finite Weyl group of a Cartan matrix.
 
     Behaves as an immutable sequence of :class:`WeylElement`, sorted by
-    (length, word).  All products, inverses and coset representatives are
-    resolved against the enumeration table.
+    (length, word).  For positions w in that order, ``_right[w][i]`` is the
+    position of w * s_(i+1), and bit i of ``_descents[w]`` is set when that
+    product is shorter than w.
     """
 
     def __init__(self, cartan: CartanMatrix, max_order: int | None = None):
@@ -227,15 +235,10 @@ class WeylGroup(Sequence):
         l = cartan.rank
         entries = cartan.entries
 
-        roots = []
-        index = {}
-        for i in range(l):
-            v = tuple(1 if j == i else 0 for j in range(l))
-            index[v] = len(roots)
-            roots.append(v)
-        queue = deque(roots)
-        while queue:
-            beta = queue.popleft()
+        # Breadth-first closures below walk lists that grow while walked.
+        roots = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
+        index = {beta: n for n, beta in enumerate(roots)}
+        for beta in roots:
             for i in range(l):
                 img = _reflect_root(entries, beta, i)
                 if img not in index:
@@ -243,66 +246,49 @@ class WeylGroup(Sequence):
                         raise InvalidCartanMatrixError("root closure did not stay finite")
                     index[img] = len(roots)
                     roots.append(img)
-                    queue.append(img)
         self.roots = tuple(roots)
         self._root_positive = tuple(all(c >= 0 for c in beta) for beta in roots)
-        self.positive_count = sum(self._root_positive)
-        nroots = len(roots)
-
         gens = tuple(
             tuple(index[_reflect_root(entries, beta, i)] for beta in roots) for i in range(l)
         )
-        self._gen_perms = gens
 
-        identity = tuple(range(nroots))
-        lengths = {identity: 0}
-        frontier = [identity]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(p[x] for x in g)
-                    if q not in lengths:
-                        if len(lengths) >= max_order:
-                            raise GroupOrderCapError(
-                                f"group order exceeds the cap {max_order}; "
-                                f"raise it via {MAX_ORDER_ENV} or max_order"
-                            )
-                        lengths[q] = depth
-                        nxt.append(q)
-            frontier = nxt
+        # The group acts faithfully on the roots; an element's depth is its length.
+        identity = tuple(range(len(roots)))
+        perms, lengths, words, right, descents = [identity], [0], [()], [], []
+        found = {identity: 0}
+        for k, p in enumerate(perms):
+            row = []
+            for g in gens:
+                q = tuple(p[x] for x in g)
+                j = found.get(q)
+                if j is None:
+                    if len(perms) >= max_order:
+                        raise GroupOrderCapError(
+                            f"group order exceeds the cap {max_order}; "
+                            f"raise it via {MAX_ORDER_ENV} or max_order"
+                        )
+                    j = found[q] = len(perms)
+                    perms.append(q)
+                    lengths.append(lengths[k] + 1)
+                row.append(j)
+            right.append(row)
+            down = [i for i, j in enumerate(row) if lengths[j] < lengths[k]]
+            descents.append(sum(1 << i for i in down))
+            if k:
+                # Dropping the last letter of the smallest reduced word leaves
+                # the smallest word of w * s_i for a right descent i.
+                words.append(min(words[row[i]] + (i + 1,) for i in down))
 
-        # Lexicographically smallest reduced words, by increasing length:
-        # the first letter is the smallest left descent.
-        words = {identity: ()}
-        for p in sorted(lengths, key=lambda q: lengths[q]):
-            if p == identity:
-                continue
-            inv = [0] * nroots
-            for r, pr in enumerate(p):
-                inv[pr] = r
-            first = None
-            for i in range(l):
-                if not self._root_positive[inv[i]]:
-                    first = i
-                    break
-            shorter = tuple(gens[first][x] for x in p)
-            words[p] = (first + 1,) + words[shorter]
-
-        elems = [
-            WeylElement(self, p, words[p], lengths[p])
-            for p in sorted(lengths, key=lambda q: (lengths[q], words[q]))
-        ]
-        self.elements = tuple(elems)
-        self._by_perm = {w.perm: w for w in elems}
-        self._pos = {w.perm: i for i, w in enumerate(elems)}
-        self.identity = self._by_perm[identity]
-        self._simple = tuple(self._by_perm[g] for g in gens)
+        order = sorted(range(len(perms)), key=lambda k: (lengths[k], words[k]))
+        pos = {k: n for n, k in enumerate(order)}
+        self._right = tuple(tuple(pos[j] for j in right[k]) for k in order)
+        self._descents = tuple(descents[k] for k in order)
+        self.elements = tuple(
+            WeylElement(self, perms[k], words[k], lengths[k], n) for n, k in enumerate(order)
+        )
+        self.identity = self.elements[0]
         self.longest_element = self.elements[-1]
         self._parabolic_cache: dict[tuple, tuple] = {}
-        self._coset_rep_cache: dict[tuple, WeylElement] = {}
 
     # -- sequence protocol -------------------------------------------------
 
@@ -322,32 +308,29 @@ class WeylGroup(Sequence):
         return self.cartan.rank
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return self._simple[i - 1]
+        return self.elements[self._right[0][i - 1]]
 
     def position(self, w: WeylElement) -> int:
-        return self._pos[w.perm]
+        return w.position
 
-    def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        return self._by_perm[tuple(u.perm[x] for x in v.perm)]
-
-    def inverse(self, u: WeylElement) -> WeylElement:
-        inv = [0] * len(u.perm)
-        for r, pr in enumerate(u.perm):
-            inv[pr] = r
-        return self._by_perm[tuple(inv)]
-
-    def from_word(self, letters) -> WeylElement:
-        w = self.identity
+    def _walk(self, w: int, letters) -> int:
+        """Position of w * s_(i_1) * ... * s_(i_k) for one-based letters."""
+        right = self._right
         for i in letters:
-            w = self.multiply(w, self.simple_reflection(i))
+            w = right[w][i - 1]
         return w
 
-    def root_index(self, i: int) -> int:
-        """Index of the simple root alpha_i in ``roots``."""
-        return i - 1
+    def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
+        return self.elements[self._walk(u.position, v.word)]
+
+    def inverse(self, u: WeylElement) -> WeylElement:
+        return self.elements[self._walk(0, reversed(u.word))]
+
+    def from_word(self, letters) -> WeylElement:
+        return self.elements[self._walk(0, letters)]
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
-        return not self._root_positive[w.perm[i - 1]]
+        return bool(self._descents[w.position] >> (i - 1) & 1)
 
     def inversion_count(self, w: WeylElement) -> int:
         return sum(
@@ -359,7 +342,7 @@ class WeylGroup(Sequence):
     # -- parabolic machinery -------------------------------------------------
 
     def parabolic_elements(self, S) -> tuple[WeylElement, ...]:
-        """Elements of the standard parabolic subgroup W_S, canonical order."""
+        """Elements of W_S (reduced words in letters of S), canonical order."""
         key = tuple(sorted(set(S)))
         cached = self._parabolic_cache.get(key)
         if cached is not None:
@@ -367,46 +350,33 @@ class WeylGroup(Sequence):
         for i in key:
             if not 1 <= i <= self.rank:
                 raise NotInSubgroupError(f"simple-root index {i} out of range")
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in key:
-                    u = self.multiply(w, self.simple_reflection(i))
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        out = tuple(sorted(seen, key=self.position))
+        letters = set(key)
+        out = tuple(w for w in self.elements if letters.issuperset(w.word))
         self._parabolic_cache[key] = out
         return out
 
     def parabolic_order(self, S) -> int:
         return len(self.parabolic_elements(S))
 
+    def _coset_walk(self, w: int, mask: int) -> tuple[int, list[int]]:
+        """Minimal representative of w * W_S (S a bit mask) and the zero-based
+        letters i_1..i_k with rep = w * s_(i_1+1) ... s_(i_k+1); read
+        backwards they spell a reduced word of rep^-1 * w."""
+        letters = []
+        while d := self._descents[w] & mask:
+            i = (d & -d).bit_length() - 1
+            letters.append(i)
+            w = self._right[w][i]
+        return w, letters
+
     def min_coset_rep(self, w: WeylElement, S) -> WeylElement:
         """Minimal-length representative of the left coset w * W_S."""
-        key = tuple(sorted(set(S)))
-        cache_key = (w.perm, key)
-        cached = self._coset_rep_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        cur = w
-        moved = True
-        while moved:
-            moved = False
-            for i in key:
-                if self.sends_simple_root_negative(cur, i):
-                    cur = self.multiply(cur, self.simple_reflection(i))
-                    moved = True
-        self._coset_rep_cache[cache_key] = cur
-        return cur
+        return self.elements[self._coset_walk(w.position, _mask(S))[0]]
 
     def coset_min_reps(self, S) -> tuple[WeylElement, ...]:
-        """All minimal-length representatives of W / W_S, canonical order."""
-        reps = {self.min_coset_rep(w, S) for w in self.elements}
-        return tuple(sorted(reps, key=self.position))
+        """Minimal representatives of W / W_S (no right descent in S), canonical order."""
+        mask = _mask(S)
+        return tuple(w for w in self.elements if not self._descents[w.position] & mask)
 
 
 def generate_weyl_group(cartan: CartanMatrix, max_order: int | None = None) -> WeylGroup:

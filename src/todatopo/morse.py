@@ -64,10 +64,7 @@ class TodaGraph:
 
 
 def unstable_set(a: WeylElement) -> frozenset:
-    W = a.group
-    return frozenset(
-        i for i in range(1, W.rank + 1) if not W.sends_simple_root_negative(a, i)
-    )
+    return frozenset(range(1, a.group.rank + 1)) - stable_set(a)
 
 
 def stable_set(a: WeylElement) -> frozenset:
@@ -78,8 +75,7 @@ def stable_set(a: WeylElement) -> frozenset:
 
 
 def critical_point(a: WeylElement) -> CriticalPoint:
-    u = unstable_set(a)
-    return CriticalPoint(a, u, frozenset(range(1, a.group.rank + 1)) - u)
+    return CriticalPoint(a, unstable_set(a), stable_set(a))
 
 
 def label(a: WeylElement) -> str:
@@ -98,25 +94,25 @@ def toda_graph(W: WeylGroup) -> TodaGraph:
     return TodaGraph(W.elements, tuple(edges))
 
 
-def _left_coset(W: WeylGroup, a: WeylElement, gens) -> frozenset:
-    return frozenset(W.multiply(a, x) for x in W.parabolic_elements(gens))
-
-
 def is_transversal(a: WeylElement, b: WeylElement) -> bool:
-    """Algebraic transversality of the connection a -> b (three conditions)."""
+    """Algebraic transversality of the connection a -> b (three conditions).
+
+    The third asks that the cosets a W_A and b W_B meet, for A the unstable
+    set of a and B the stable set of b (they then meet in a coset of
+    W_(A&B)).  They meet iff a^-1 b is in W_A W_B, iff the minimal
+    representative of a^-1 b W_B is in W_A: a right descent of u in W_A
+    is a letter of A, so reducing u v (v in W_B) never leaves W_A.
+    """
     if a.group is not b.group:
         raise ConfigError("elements from different groups")
     W = a.group
     ua = unstable_set(a)
     sb = stable_set(b)
-    inter = ua & sb
-    if len(inter) != index(a) - index(b):
+    if len(ua & sb) != index(a) - index(b):
         return False
-    if W.parabolic_order(tuple(sorted(ua | sb))) != len(W):
+    if W.parabolic_order(ua | sb) != len(W):
         return False
-    A = _left_coset(W, a, tuple(sorted(ua)))
-    B = _left_coset(W, b, tuple(sorted(sb)))
-    return len(A & B) == W.parabolic_order(tuple(sorted(inter)))
+    return ua.issuperset(W.min_coset_rep(W.multiply(W.inverse(a), b), sb).word)
 
 
 def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> int:
@@ -162,7 +158,7 @@ def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> 
 def is_abelian_unstable(a: WeylElement) -> bool:
     """Whether the unstable parabolic subgroup is abelian (cycle predicate)."""
     W = a.group
-    elems = W.parabolic_elements(tuple(sorted(unstable_set(a))))
+    elems = W.parabolic_elements(unstable_set(a))
     for u in elems:
         for v in elems:
             if W.multiply(u, v) is not W.multiply(v, u):
@@ -170,42 +166,38 @@ def is_abelian_unstable(a: WeylElement) -> bool:
     return True
 
 
+def _by_index(W: WeylGroup) -> tuple[tuple[WeylElement, ...], ...]:
+    return tuple(tuple(w for w in W.elements if index(w) == k) for k in range(W.rank + 1))
+
+
 def morse_smale_edges(W: WeylGroup, interpretation: str = "value") -> tuple[MorseEdge, ...]:
     """All transversal index-drop-one connections, with incidence numbers."""
-    by_index: dict[int, list[WeylElement]] = {}
-    for w in W.elements:
-        by_index.setdefault(index(w), []).append(w)
-    edges = []
-    for k in sorted(by_index, reverse=True):
-        if k - 1 not in by_index:
-            continue
-        for a in by_index[k]:
-            for b in by_index[k - 1]:
-                if is_transversal(a, b):
-                    edges.append(MorseEdge(a, b, incidence(a, b, interpretation)))
-    return tuple(edges)
+    bases = _by_index(W)
+    return tuple(
+        MorseEdge(a, b, incidence(a, b, interpretation))
+        for k in range(W.rank, 0, -1)
+        for a in bases[k]
+        for b in bases[k - 1]
+        if is_transversal(a, b)
+    )
+
+
+def _complex_from_edges(W: WeylGroup, edges) -> ChainComplex:
+    """Morse chain complex graded by index, with the edges' nonzero incidences."""
+    bases = _by_index(W)
+    pos = {w: i for basis in bases for i, w in enumerate(basis)}
+    entries: list[dict] = [{} for _ in bases]
+    for e in edges:
+        if e.incidence:
+            entries[index(e.source)][(pos[e.target], pos[e.source])] = e.incidence
+    sizes = (0, *map(len, bases))
+    matrices = (IntMatrix(sizes[k], sizes[k + 1], entries[k]) for k in range(len(bases)))
+    return ChainComplex(bases, tuple(matrices))
 
 
 def morse_complex(W: WeylGroup, interpretation: str = "value") -> ChainComplex:
     """Morse chain complex over the critical points, graded by index."""
-    l = W.rank
-    by_index: dict[int, list[WeylElement]] = {k: [] for k in range(l + 1)}
-    for w in W.elements:
-        by_index[index(w)].append(w)
-    bases = tuple(tuple(by_index[k]) for k in range(l + 1))
-    boundaries = [IntMatrix(0, len(bases[0]), {})]
-    for k in range(1, l + 1):
-        entries = {}
-        for col, a in enumerate(bases[k]):
-            for row, b in enumerate(bases[k - 1]):
-                if is_transversal(a, b):
-                    v = incidence(a, b, interpretation)
-                    if v:
-                        entries[(row, col)] = v
-        boundaries.append(IntMatrix(len(bases[k - 1]), len(bases[k]), entries))
-    cx = ChainComplex(bases, tuple(boundaries))
-    cx.validate()
-    return cx
+    return _complex_from_edges(W, morse_smale_edges(W, interpretation))
 
 
 # -- principal cells of the A series ----------------------------------------

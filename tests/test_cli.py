@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,43 @@ class TestCells:
         _, out2, _ = run(capsys, "cells", "--type", "B", "--rank", "2",
                          "--format", "json", "--output", "-")
         assert out1 == out2
+
+
+# sha256 of artifacts written by the root-permutation implementation of the
+# Weyl group; the table-driven arithmetic must reproduce them byte for byte.
+PINNED_SHA256 = {
+    "b3_cells.csv": "2cf53e86cd85a3d728ee6dbad0040478fab5c4d5e6d99e28115a17c027c8bb3b",
+    "b3_boundaries.csv": "09da2866d7f41f92126f4091ce462e203522980b511c5faff91e57282b065149",
+    "a3_morse.json": "973002247ccd15212bf38007a433d14a5f6674f9945908b3c2e20f5f5aba7425",
+    "a3_toda.dot": "806ec8b3e87f282ebac2e3b0d7f8bc424763596b9b2e8216a24e0589ac1b9ea6",
+    "a3_morse.dot": "c8f952b79a87c9bfa8080f6fd42355da843b26919ccad4a7a328cda961d8e010",
+}
+
+
+class TestPinnedArtifacts:
+    def check(self, tmp_path, names):
+        for name in names:
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == PINNED_SHA256[name], name
+
+    def test_cells_b3(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "cells", "--type", "B", "--rank", "3",
+            "--output", str(tmp_path / "b3_cells.csv"),
+            "--boundaries", str(tmp_path / "b3_boundaries.csv"),
+        )
+        assert code == 0
+        self.check(tmp_path, ["b3_cells.csv", "b3_boundaries.csv"])
+
+    def test_morse_a3(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "morse", "--type", "A", "--rank", "3",
+            "--output", str(tmp_path / "a3_morse.json"),
+            "--toda-dot", str(tmp_path / "a3_toda.dot"),
+            "--morse-dot", str(tmp_path / "a3_morse.dot"),
+        )
+        assert code == 0
+        self.check(tmp_path, ["a3_morse.json", "a3_toda.dot", "a3_morse.dot"])
 
 
 class TestHomology:
@@ -193,6 +231,19 @@ class TestSimulate:
         _, out2, _ = run(capsys, "simulate", "--rank", "1", "--signs", "-",
                          "--output", "-")
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [("--signs", "-+"), ("--signs=-+",), ("--signs=--",)])
+    def test_sign_strings_starting_with_minus(self, capsys, argv):
+        # argparse alone reads '-+' as an option and drops the value '--'
+        code, out, _ = run(capsys, "simulate", "--rank", "2", *argv, "--tmax", "0.5",
+                           "--output", "-")
+        assert code == 0
+        assert json.loads(out)["signs"] == argv[-1].split("=")[-1]
+
+    def test_bad_sign_string(self, capsys):
+        code, _, err = run(capsys, "simulate", "--rank", "2", "--signs=-x")
+        assert code == 1
+        assert "bad sign string '-x'" in err
 
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",

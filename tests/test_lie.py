@@ -130,6 +130,75 @@ class TestGeneration:
                 assert W_A3.multiply(w, W_A3.simple_reflection(i)).perm in perms
 
 
+def root_action(W, i):
+    """Permutation of ``W.roots`` by s_i, straight from the Cartan matrix."""
+    C = W.cartan.entries
+    where = {beta: n for n, beta in enumerate(W.roots)}
+    out = []
+    for beta in W.roots:
+        image = list(beta)
+        image[i - 1] -= sum(b * C[j][i - 1] for j, b in enumerate(beta))
+        out.append(where[tuple(image)])
+    return tuple(out)
+
+
+def compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+class TestTableAgainstRootAction:
+    """The table walks against composing, inverting and reading root permutations."""
+
+    GROUPS = ["W_A3", "W_B3", "W_G2", "W_D4"]
+
+    @pytest.mark.parametrize("fix", GROUPS)
+    def test_multiply_and_inverse(self, fix, request):
+        W = request.getfixturevalue(fix)
+        by_perm = {w.perm: w for w in W}
+        for i in range(1, W.rank + 1):
+            assert W.simple_reflection(i).perm == root_action(W, i)
+        for u in W:
+            inv = [0] * len(u.perm)
+            for r, image in enumerate(u.perm):
+                inv[image] = r
+            assert W.inverse(u) is by_perm[tuple(inv)]
+            for v in W:
+                assert W.multiply(u, v) is by_perm[compose(u.perm, v.perm)]
+
+    @pytest.mark.parametrize("fix", GROUPS)
+    def test_descents(self, fix, request):
+        W = request.getfixturevalue(fix)
+        for w in W:
+            for i in range(1, W.rank + 1):
+                negative = any(c < 0 for c in W.roots[w.perm[i - 1]])
+                assert W.sends_simple_root_negative(w, i) == negative
+                shorter = W.multiply(w, W.simple_reflection(i)).length < w.length
+                assert shorter == negative
+
+    @pytest.mark.parametrize("fix", GROUPS)
+    def test_min_coset_rep(self, fix, request):
+        import itertools
+
+        W = request.getfixturevalue(fix)
+        by_perm = {w.perm: w for w in W}
+        gens = {i: root_action(W, i) for i in range(1, W.rank + 1)}
+        for r in range(W.rank + 1):
+            for S in itertools.combinations(range(1, W.rank + 1), r):
+                sub = {tuple(range(len(W.roots)))}
+                frontier = list(sub)
+                while frontier:
+                    frontier = {compose(p, gens[i]) for p in frontier for i in S} - sub
+                    sub |= frontier
+                assert {w.perm for w in W.parabolic_elements(S)} == sub
+                reps = set()
+                for w in W:
+                    coset = [by_perm[compose(w.perm, x)] for x in sub]
+                    rep = min(coset, key=W.inversion_count)
+                    assert W.min_coset_rep(w, S) is rep
+                    reps.add(rep)
+                assert W.coset_min_reps(S) == tuple(sorted(reps, key=W.position))
+
+
 class TestLengthsAndWords:
     def test_identity_and_simple(self, W_A2):
         assert length(W_A2.identity) == 0

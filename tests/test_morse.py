@@ -102,6 +102,28 @@ class TestTransversality:
                     assert not is_transversal(a, b)
 
 
+def transversal_by_coset_intersection(a, b):
+    """Reference: the cosets a W_A and b W_B, as sets, share |W_(A&B)| elements."""
+    W = a.group
+    ua, sb = unstable_set(a), stable_set(b)
+    if len(ua & sb) != index(a) - index(b):
+        return False
+    if W.parabolic_order(ua | sb) != len(W):
+        return False
+    A = frozenset(W.multiply(a, x) for x in W.parabolic_elements(ua))
+    B = frozenset(W.multiply(b, x) for x in W.parabolic_elements(sb))
+    return len(A & B) == W.parabolic_order(ua & sb)
+
+
+class TestTransversalityReference:
+    @pytest.mark.parametrize("fix", ["W_A3", "W_B3", "W_G2"])
+    def test_every_pair(self, fix, request):
+        W = request.getfixturevalue(fix)
+        for a in W:
+            for b in W:
+                assert is_transversal(a, b) == transversal_by_coset_intersection(a, b), (a, b)
+
+
 class TestIncidence:
     @pytest.mark.parametrize("l", [2, 3, 4])
     def test_closed_form_first_family(self, l):
