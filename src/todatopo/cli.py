@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import report
 from .cells import build_chain_complex, cell_count_formula
@@ -37,23 +36,6 @@ from .toda import DEFAULT_THRESHOLD, TodaState, integrate
 MORSE_RANK_GATE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    type_label: str = "A"
-    rank: int = 1
-    signs: tuple = ()
-    t_max: float = 5.0
-    dt: float = 1e-3
-    threshold: float = DEFAULT_THRESHOLD
-    fmt: str = "csv"
-    output: str | None = None
-    sigma: str = "value"
-    override_rank_gate: bool = False
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         return
@@ -64,59 +46,55 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _build_group(config: RunConfig):
-    return generate_weyl_group(cartan_matrix(config.type_label, config.rank))
+def _build_group(args):
+    return generate_weyl_group(cartan_matrix(args.type, args.rank))
 
 
 def cmd_cells(args) -> int:
-    config = RunConfig(
-        "cells", args.type, args.rank, fmt=args.format, output=args.output
-    )
-    W = _build_group(config)
+    W = _build_group(args)
     cx = build_chain_complex(W)
     counts = cx.ranks()
     for k in range(W.rank, -1, -1):
         if counts[k] != cell_count_formula(W, W.rank - k):
             raise ConfigError("cell counts disagree with the closed formula")
-    if config.output != "-":
+    if args.output != "-":
         for k, c in enumerate(counts):
             print(f"dim {k}: {c} cells")
         print(f"Euler characteristic: {cx.euler_characteristic()}")
-    if config.fmt == "json":
+    if args.format == "json":
         artifact = report.dump_json(
-            report.cells_json_obj(config.type_label, config.rank, cx)
+            report.cells_json_obj(args.type, args.rank, cx)
         )
     else:
         artifact = report.cells_csv(cx)
-    _emit(artifact, config.output)
+    _emit(artifact, args.output)
     if args.boundaries:
         _emit(report.boundaries_csv(cx), args.boundaries)
     return 0
 
 
 def cmd_homology(args) -> int:
-    config = RunConfig("homology", args.type, args.rank, output=args.output)
-    W = _build_group(config)
+    W = _build_group(args)
     cx = build_chain_complex(W)
     groups = homology_of(cx)
     euler_cells = cx.euler_characteristic()
     euler_ranks = sum((-1) ** k * g.free_rank for k, g in enumerate(groups))
     if euler_cells != euler_ranks:
         raise ConfigError("Euler characteristic mismatch between cells and homology")
-    if config.output != "-":
+    if args.output != "-":
         for line in report.homology_lines(groups):
             print(line)
     _emit(
-        report.dump_json(report.homology_json_obj(config.type_label, config.rank, groups)),
-        config.output,
+        report.dump_json(report.homology_json_obj(args.type, args.rank, groups)),
+        args.output,
     )
     return 0
 
 
-def _morse_gated(config: RunConfig) -> None:
-    if config.type_label == "A" and config.rank <= MORSE_RANK_GATE:
+def _morse_gated(args) -> None:
+    if args.type == "A" and args.rank <= MORSE_RANK_GATE:
         return
-    if config.override_rank_gate:
+    if args.override_rank_gate:
         print(
             "note: Morse-complex output beyond type A rank "
             f"{MORSE_RANK_GATE} is unvalidated; the transversal edge set may "
@@ -131,43 +109,35 @@ def _morse_gated(config: RunConfig) -> None:
 
 
 def cmd_morse(args) -> int:
-    config = RunConfig(
-        "morse",
-        args.type,
-        args.rank,
-        output=args.output,
-        sigma=args.sigma,
-        override_rank_gate=args.override_rank_gate,
-    )
     selectors = args.poincare or args.betti1 or args.conjecture
-    is_a = config.type_label == "A"
+    is_a = args.type == "A"
     if selectors and not is_a:
         raise ConfigError("--poincare/--betti1/--conjecture apply to type A only")
     obj: dict = {
         "schema_version": report.SCHEMA_VERSION,
-        "type": config.type_label,
-        "rank": config.rank,
+        "type": args.type,
+        "rank": args.rank,
     }
     lines: list[str] = []
     if selectors:
         if args.poincare:
-            coeffs = poincare_polynomial(config.rank)
+            coeffs = poincare_polynomial(args.rank)
             obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
             lines.append(f"principal-cell polynomial: {report.poly_str(coeffs)}")
         if args.betti1:
-            b1 = betti_one(config.rank)
+            b1 = betti_one(args.rank)
             obj["betti1"] = b1
             lines.append(f"betti_1 = {b1}")
         if args.conjecture:
-            table = _betti_table(config.rank)
+            table = _betti_table(args.rank)
             obj["betti_table"] = table
             for row in table:
                 tag = " (conjecture)" if row["conjecture"] else ""
                 lines.append(f"betti_{row['k']} = {row['value']}{tag}")
     else:
-        _morse_gated(config)
-        W = _build_group(config)
-        obj["sigma_interpretation"] = config.sigma
+        _morse_gated(args)
+        W = _build_group(args)
+        obj["sigma_interpretation"] = args.sigma
         obj["critical_points"] = [
             {"word": report.word_list(w), "label": label(w), "index": index(w)}
             for w in W.elements
@@ -178,7 +148,7 @@ def cmd_morse(args) -> int:
         obj["index_counts"] = counts
         graph = toda_graph(W)
         obj["toda_graph"] = {"vertices": len(graph.vertices), "edges": len(graph.edges)}
-        edges = morse_smale_edges(W, config.sigma)
+        edges = morse_smale_edges(W, args.sigma)
         obj["morse_smale_edges"] = [
             {
                 "source": report.word_list(e.source),
@@ -196,11 +166,11 @@ def cmd_morse(args) -> int:
         lines.append(f"critical points: {len(W)}; toda edges: {len(graph.edges)}")
         lines.extend("morse " + s for s in report.homology_lines(groups))
         if is_a:
-            coeffs = poincare_polynomial(config.rank)
+            coeffs = poincare_polynomial(args.rank)
             obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
-            obj["betti1"] = betti_one(config.rank)
-            obj["betti_table"] = _betti_table(config.rank)
-            pg = principal_graph(config.rank)
+            obj["betti1"] = betti_one(args.rank)
+            obj["betti_table"] = _betti_table(args.rank)
+            pg = principal_graph(args.rank)
             obj["principal_components"] = [
                 {"seed": list(seed), "cube_dim": pg.seed_cube_dim(seed), "label": pg.seed_label(seed)}
                 for seed in pg.seeds
@@ -211,10 +181,10 @@ def cmd_morse(args) -> int:
             _emit(report.toda_graph_dot(graph), args.toda_dot)
         if args.morse_dot:
             _emit(report.morse_graph_dot(W, edges), args.morse_dot)
-    if config.output != "-":
+    if args.output != "-":
         for line in lines:
             print(line)
-    _emit(report.dump_json(obj), config.output)
+    _emit(report.dump_json(obj), args.output)
     return 0
 
 
@@ -228,19 +198,9 @@ def _betti_table(l: int) -> list:
 
 def cmd_simulate(args) -> int:
     signs = parse_sign_string(args.signs)
-    config = RunConfig(
-        "simulate",
-        args.type,
-        args.rank,
-        signs=signs,
-        t_max=args.tmax,
-        dt=args.dt,
-        threshold=args.threshold,
-        output=args.output,
-    )
-    if config.type_label != "A":
+    if args.type != "A":
         raise ConfigError("the integrator implements the A-series matrix form only")
-    l = config.rank
+    l = args.rank
     if len(signs) != l:
         raise ConfigError(f"sign string length {len(signs)} does not match rank {l}")
     a0 = _parse_floats(args.a0, l, "a0") if args.a0 else (0.0,) * l
@@ -255,7 +215,7 @@ def cmd_simulate(args) -> int:
     from .toda import eigenvalues
 
     ev0 = eigenvalues(state)
-    traj = integrate(state, config.t_max, config.dt, threshold=config.threshold)
+    traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)
     evf = eigenvalues(traj.final_state())
     drift = traj.max_invariant_drift()
     eig_drift = float(max(abs(evf - ev0))) if len(evf) == len(ev0) else float("nan")
@@ -263,9 +223,9 @@ def cmd_simulate(args) -> int:
         "schema_version": report.SCHEMA_VERSION,
         "n": state.n,
         "signs": sign_string(signs),
-        "t_max": config.t_max,
-        "dt": config.dt,
-        "threshold": config.threshold,
+        "t_max": args.tmax,
+        "dt": args.dt,
+        "threshold": args.threshold,
         "steps": len(traj.times) - 1,
         "blowup_time": traj.blowup.time if traj.blowup else None,
         "blowup_coordinate": traj.blowup.coordinate if traj.blowup else None,
@@ -275,15 +235,15 @@ def cmd_simulate(args) -> int:
         "final_eigenvalues": [[float(e.real), float(e.imag)] for e in evf],
         "max_eigenvalue_drift": eig_drift,
     }
-    if config.output != "-":
+    if args.output != "-":
         if traj.blowup:
             print(f"blow-up at t = {traj.blowup.time:.6f} ({traj.blowup.coordinate})")
         else:
-            print(f"no blow-up over [0, {config.t_max}]")
+            print(f"no blow-up over [0, {args.tmax}]")
         print(f"max invariant drift: {drift:.3e}")
     if args.trajectory:
         _emit(report.trajectory_csv(traj), args.trajectory)
-    _emit(report.dump_json(summary), config.output)
+    _emit(report.dump_json(summary), args.output)
     return 0
 
 

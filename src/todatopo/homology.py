@@ -1,10 +1,12 @@
 """Exact integral homology via Smith normal form.
 
 All arithmetic is on Python ints, so intermediate entry growth cannot
-overflow.  Pivoting always selects a smallest-magnitude nonzero entry,
-the standard growth mitigation.  The fast path for homology strips
-unit pivots sparsely first and runs the dense reduction only on the
-small residue; unimodular eliminations preserve invariant factors.
+overflow.  ``smith_normal_form`` tracks the unimodular transforms and
+pivots on a smallest-magnitude nonzero entry, the standard growth
+mitigation.  ``invariant_factors`` (the homology path) needs no
+transforms: it eliminates sparsely, in rounds that pivot on entries
+equal to the gcd of what is left, and runs the dense reduction only on
+a residue in which no entry equals that gcd.
 """
 
 from __future__ import annotations
@@ -190,11 +192,16 @@ def smith_normal_form(M) -> SmithDecomposition:
 
 
 def _unit_strip(mat: IntMatrix):
-    """Eliminate unit pivots sparsely; return (count, residual dense matrix).
+    """Strip gcd pivots sparsely; return (factors, residual dense matrix).
 
-    Pivot rows are drawn from a lazy heap ordered by row sparsity; within
-    the row the unit column with the fewest entries wins.  Rows lacking
-    unit entries leave the heap and re-enter only when touched again.
+    Each round takes g, the gcd of the live entries, and pivots on entries
+    equal to +-g.  Pivot rows are drawn from a lazy heap ordered by row
+    sparsity; within the row the pivot column with the fewest entries
+    wins.  Rows lacking such entries leave the heap and re-enter only when
+    touched again.  Since g divides every live entry, each update is exact
+    and leaves a multiple of g, so each pivot is the invariant factor g
+    and the factors form a divisibility chain.  The residue is densified
+    only once a round strips nothing.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -202,47 +209,55 @@ def _unit_strip(mat: IntMatrix):
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     version = {r: 0 for r in rows}
-    heap = [(len(row), r, 0) for r, row in sorted(rows.items())]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        nnz, r, ver = heapq.heappop(heap)
-        if r not in rows or version[r] != ver:
-            continue
-        row = rows[r]
-        unit_cols = [c for c, v in row.items() if v in (1, -1)]
-        if not unit_cols:
-            continue  # re-enters via a version bump if ever touched again
-        c = min(unit_cols, key=lambda cc: (len(cols[cc]), cc))
-        pv = row[c]
-        prow = dict(row)
-        # clear the pivot column with row operations
-        for r2 in sorted(cols[c]):
-            if r2 == r:
+    factors = []
+    stripped = True
+    while rows and stripped:
+        g = 0
+        for row in rows.values():
+            for v in row.values():
+                g = math.gcd(g, v)
+        heap = [(len(row), r, version[r]) for r, row in rows.items()]
+        heapq.heapify(heap)
+        stripped = False
+        while heap:
+            nnz, r, ver = heapq.heappop(heap)
+            if r not in rows or version[r] != ver:
                 continue
-            row2 = rows[r2]
-            f = row2[c] * pv  # row2 -= f * prow (pv is +-1)
-            for cc, vv in prow.items():
-                new = row2.get(cc, 0) - f * vv
-                if new:
-                    row2[cc] = new
-                    cols[cc].add(r2)
+            row = rows[r]
+            pivot_cols = [c for c, v in row.items() if v == g or v == -g]
+            if not pivot_cols:
+                continue  # re-enters via a version bump if ever touched again
+            c = min(pivot_cols, key=lambda cc: (len(cols[cc]), cc))
+            pv = row[c]
+            prow = dict(row)
+            # clear the pivot column with row operations
+            for r2 in sorted(cols[c]):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                f = row2[c] // pv  # row2 -= f * prow, exact since g | row2[c]
+                for cc, vv in prow.items():
+                    new = row2.get(cc, 0) - f * vv
+                    if new:
+                        row2[cc] = new
+                        cols[cc].add(r2)
+                    else:
+                        if cc in row2:
+                            del row2[cc]
+                            cols[cc].discard(r2)
+                version[r2] += 1
+                if row2:
+                    heapq.heappush(heap, (len(row2), r2, version[r2]))
                 else:
-                    if cc in row2:
-                        del row2[cc]
-                        cols[cc].discard(r2)
-            version[r2] += 1
-            if row2:
-                heapq.heappush(heap, (len(row2), r2, version[r2]))
-            else:
-                del rows[r2]
-        # drop the pivot row; its remaining entries die by column operations
-        for cc in prow:
-            cols[cc].discard(r)
-            if not cols[cc]:
-                del cols[cc]
-        del rows[r]
-        units += 1
+                    del rows[r2]
+            # drop the pivot row; its remaining entries die by column operations
+            for cc in prow:
+                cols[cc].discard(r)
+                if not cols[cc]:
+                    del cols[cc]
+            del rows[r]
+            factors.append(g)
+            stripped = True
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     col_pos = {c: k for k, c in enumerate(live_cols)}
@@ -250,37 +265,21 @@ def _unit_strip(mat: IntMatrix):
     for k, r in enumerate(live_rows):
         for c, v in rows[r].items():
             dense[k][col_pos[c]] = v
-    return units, dense
+    return factors, dense
 
 
 def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform tracking.
 
-    Alternates sparse unit elimination with factoring out the gcd of the
-    residue (the Smith form of g*M is g times that of M); the dense
-    reduction only ever sees what survives both.
+    Sparse gcd-pivot rounds (``_unit_strip``) give the leading factors in
+    divisibility order; the dense reduction only sees a residue in which
+    no entry equals the gcd, and its factors follow as multiples of it.
     """
-    return tuple(sorted(_factors_scaled(mat, 1)))
-
-
-def _factors_scaled(mat: IntMatrix, scale: int) -> list[int]:
-    units, dense = _unit_strip(mat)
-    out = [scale] * units
-    if not dense or not dense[0]:
-        return out
-    g = 0
-    for row in dense:
-        for v in row:
-            g = math.gcd(g, v)
-    if g > 1:
-        reduced = IntMatrix.from_dense([[v // g for v in row] for row in dense])
-        out.extend(_factors_scaled(reduced, scale * g))
-        return out
-    _snf_core(dense, track=False)
-    for i in range(min(len(dense), len(dense[0]))):
-        if dense[i][i]:
-            out.append(scale * abs(dense[i][i]))
-    return out
+    factors, dense = _unit_strip(mat)
+    if dense:
+        _snf_core(dense, track=False)
+        factors.extend(abs(dense[i][i]) for i in range(min(len(dense), len(dense[0]))) if dense[i][i])
+    return tuple(factors)
 
 
 def matrix_rank(mat: IntMatrix) -> int:

@@ -310,9 +310,6 @@ class WeylGroup(Sequence):
     def simple_reflection(self, i: int) -> WeylElement:
         return self.elements[self._right[0][i - 1]]
 
-    def position(self, w: WeylElement) -> int:
-        return w.position
-
     def _walk(self, w: int, letters) -> int:
         """Position of w * s_(i_1) * ... * s_(i_k) for one-based letters."""
         right = self._right

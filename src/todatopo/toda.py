@@ -175,7 +175,6 @@ def integrate(
     t_max: float,
     dt: float,
     threshold: float = DEFAULT_THRESHOLD,
-    halving: bool = True,
 ) -> Trajectory:
     """Integrate for a duration t_max, recording every accepted step.
 
@@ -197,17 +196,16 @@ def integrate(
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
         na, nb = _rk4(a, b, h)
-        if halving:
-            halvings = 0
-            scale = max(np.max(np.abs(b)), _HALVING_FLOOR)
-            while (
-                halvings < _HALVING_LIMIT
-                and (not np.all(np.isfinite(nb)) or np.max(np.abs(nb)) > 2.0 * scale)
-                and h > 0
-            ):
-                h *= 0.5
-                halvings += 1
-                na, nb = _rk4(a, b, h)
+        halvings = 0
+        scale = max(np.max(np.abs(b)), _HALVING_FLOOR)
+        while (
+            halvings < _HALVING_LIMIT
+            and (not np.all(np.isfinite(nb)) or np.max(np.abs(nb)) > 2.0 * scale)
+            and h > 0
+        ):
+            h *= 0.5
+            halvings += 1
+            na, nb = _rk4(a, b, h)
         if _exceeds(na, nb, threshold):
             lo, hi = 0.0, h
             while hi - lo > BLOWUP_TIME_RESOLUTION:

@@ -76,6 +76,9 @@ class TestSmith:
             [[1, 2], [3, 4]],
             [[6, 10], [15, 25]],
             [[0, 1], [-1, 0]],
+            [[2, 0], [0, 4]],  # two gcd rounds: factors 2, 4
+            [[2, 4], [4, 2]],  # the 2-pivot leaves -6: factors 2, 6
+            [[2, 3], [3, 2]],  # no entry equals the gcd 1: dense residue, factors 1, 5
         ],
     )
     def test_decomposition_exact(self, M):
@@ -86,6 +89,7 @@ class TestSmith:
         d = [x for x in snf.diagonal if x]
         for a, b in zip(d, d[1:]):
             assert b % a == 0
+        assert invariant_factors(IntMatrix.from_dense(M)) == tuple(abs(x) for x in d)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -196,7 +196,7 @@ class TestTableAgainstRootAction:
                     rep = min(coset, key=W.inversion_count)
                     assert W.min_coset_rep(w, S) is rep
                     reps.add(rep)
-                assert W.coset_min_reps(S) == tuple(sorted(reps, key=W.position))
+                assert W.coset_min_reps(S) == tuple(sorted(reps, key=lambda w: w.position))
 
 
 class TestLengthsAndWords:

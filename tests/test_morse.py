@@ -277,11 +277,19 @@ class TestBettiFormulas:
         groups = homology_of(build_chain_complex(W_A2))
         assert conjectured_betti(2, 2) == groups[2].free_rank
 
-    @pytest.mark.parametrize("fix,l", [("W_A2", 2), ("W_A3", 3), ("W_A4", 4)])
+    def test_a4_conjecture_matches_cellular(self, W_A4):
+        groups = homology_of(build_chain_complex(W_A4))
+        values = [conjectured_betti(4, k) for k in range(2, 5)]
+        assert values == [g.free_rank for g in groups[2:]] == [25, 0, 0]
+
+    @pytest.mark.parametrize("fix,l", [("W_A2", 2), ("W_A3", 3), ("W_A4", 4), ("A5", 5)])
     def test_whisker_counts_against_enumeration(self, fix, l, request):
         from todatopo.morse import _count_exact_ascent_set
 
-        W = request.getfixturevalue(fix)
+        if fix == "A5":
+            W = generate_weyl_group(cartan_matrix("A", 5))
+        else:
+            W = request.getfixturevalue(fix)
         from collections import Counter
 
         by_set = Counter(tuple(sorted(unstable_set(w))) for w in W)
