@@ -7,12 +7,12 @@ one more vertex, with the literal sign ``(-1) ** (j + c + 1)`` where j
 counts uncolored vertices in increasing root order and c = 1 colors Red,
 c = 2 Blue.
 
-Pushing a residual x in W_S through a diagram uses the sign action on
-the colored coordinates together with an orientation factor: a letter
-s_i contributes ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``.
-The factor is the determinant of the wall-gluing map on the cell's free
-coordinates; with it the boundary squares to zero and the rank-2 A-type
-complex reproduces the gold homology (Z, Z^3 + Z/2, 0).
+Pushing a residual x in W_S through a diagram runs ``signs._act`` on its
+(S, Red) masks: the sign action on the colored coordinates and, per letter
+s_i, an orientation factor ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``,
+the determinant of the wall-gluing map on the cell's free coordinates.
+With it the boundary squares to zero and the rank-2 A-type complex
+reproduces the gold homology (Z, Z^3 + Z/2, 0).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from itertools import combinations, product
 from .errors import ConfigError, CorruptComplexError, NotInSubgroupError
 from .lie import CartanMatrix, WeylElement, WeylGroup
 from .matrices import IntMatrix
+from .signs import _act, _odd_columns
 
 RED = -1
 BLUE = 1
@@ -114,25 +115,6 @@ def _masks(diagram: ColoredDynkinDiagram) -> tuple[int, int]:
         if s == RED:
             red |= 1 << (v - 1)
     return S, red
-
-
-def _odd_columns(C: CartanMatrix) -> list[int]:
-    """Per letter s_(i+1), the mask of vertices j with C_{j,i} odd."""
-    return [sum(1 << j for j, row in enumerate(C.entries) if row[i] % 2) for i in range(C.rank)]
-
-
-def _act(letters, S: int, red: int, odd) -> tuple[int, int]:
-    """Orientation sign and Red mask after zero-based letters, first letter first.
-
-    The parity of a column sum over the uncolored vertices is the parity of
-    the count of its odd entries there."""
-    sign = 1
-    for i in letters:
-        if red >> i & 1:
-            if (odd[i] & ~S).bit_count() & 1:
-                sign = -sign
-            red ^= odd[i] & S
-    return sign, red
 
 
 def ws_act_on_diagram(

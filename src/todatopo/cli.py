@@ -11,6 +11,7 @@ finished and all internal consistency checks passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import report
@@ -31,7 +32,7 @@ from .morse import (
     toda_graph,
 )
 from .signs import parse_sign_string, sign_string
-from .toda import DEFAULT_THRESHOLD, TodaState, integrate
+from .toda import DEFAULT_THRESHOLD, TodaState, eigenvalues, integrate
 
 MORSE_RANK_GATE = 3
 
@@ -142,10 +143,6 @@ def cmd_morse(args) -> int:
             {"word": report.word_list(w), "label": label(w), "index": index(w)}
             for w in W.elements
         ]
-        counts = [0] * (W.rank + 1)
-        for w in W.elements:
-            counts[index(w)] += 1
-        obj["index_counts"] = counts
         graph = toda_graph(W)
         obj["toda_graph"] = {"vertices": len(graph.vertices), "edges": len(graph.edges)}
         edges = morse_smale_edges(W, args.sigma)
@@ -158,6 +155,7 @@ def cmd_morse(args) -> int:
             for e in edges
         ]
         cx = _complex_from_edges(W, edges)
+        obj["index_counts"] = list(cx.ranks())
         groups = homology_of(cx)
         obj["morse_homology"] = [
             {"degree": k, "free_rank": g.free_rank, "torsion": list(g.torsion)}
@@ -212,8 +210,6 @@ def cmd_simulate(args) -> int:
     else:
         b0 = tuple(float(e) for e in signs)
     state = TodaState(a0, b0)
-    from .toda import eigenvalues
-
     ev0 = eigenvalues(state)
     traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)
     evf = eigenvalues(traj.final_state())
@@ -254,6 +250,8 @@ def _parse_floats(text: str, want: int, name: str) -> tuple:
         raise ConfigError(f"--{name} must be a comma-separated float list") from None
     if len(vals) != want:
         raise ConfigError(f"--{name} needs {want} values, got {len(vals)}")
+    if not all(math.isfinite(x) for x in vals):
+        raise ConfigError(f"--{name} values must be finite")
     return vals
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import (
+    ConfigError,
     GroupOrderCapError,
     InvalidCartanMatrixError,
     NotInSubgroupError,
@@ -119,10 +120,6 @@ class CartanMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
-
-    @property
-    def simple_indices(self) -> range:
-        return range(1, self.rank + 1)
 
     def __str__(self):
         return f"{self.type_label}{self.rank}"
@@ -288,7 +285,6 @@ class WeylGroup(Sequence):
         )
         self.identity = self.elements[0]
         self.longest_element = self.elements[-1]
-        self._parabolic_cache: dict[tuple, tuple] = {}
 
     # -- sequence protocol -------------------------------------------------
 
@@ -340,17 +336,11 @@ class WeylGroup(Sequence):
 
     def parabolic_elements(self, S) -> tuple[WeylElement, ...]:
         """Elements of W_S (reduced words in letters of S), canonical order."""
-        key = tuple(sorted(set(S)))
-        cached = self._parabolic_cache.get(key)
-        if cached is not None:
-            return cached
-        for i in key:
+        letters = set(S)
+        for i in sorted(letters):
             if not 1 <= i <= self.rank:
                 raise NotInSubgroupError(f"simple-root index {i} out of range")
-        letters = set(key)
-        out = tuple(w for w in self.elements if letters.issuperset(w.word))
-        self._parabolic_cache[key] = out
-        return out
+        return tuple(w for w in self.elements if letters.issuperset(w.word))
 
     def parabolic_order(self, S) -> int:
         return len(self.parabolic_elements(S))
@@ -384,7 +374,10 @@ def generate_weyl_group(cartan: CartanMatrix, max_order: int | None = None) -> W
     """
     if max_order is None:
         env = os.environ.get(MAX_ORDER_ENV)
-        max_order = int(env) if env else DEFAULT_MAX_ORDER
+        try:
+            max_order = int(env) if env else DEFAULT_MAX_ORDER
+        except ValueError:
+            raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
     return WeylGroup(cartan, max_order=max_order)
 
 

@@ -2,9 +2,9 @@
 algebraic transversality, incidence numbers, the Morse complex, and the
 principal-cell combinatorics of the A-series.
 
-Critical points are Weyl elements.  A simple root is unstable for ``a``
-when right multiplication by its reflection increases length; the index
-is the number of unstable roots.  Incidence numbers live in {0, +2, -2}.
+Critical points are Weyl elements; the stable roots of ``a`` are its right
+descents and the index counts the others.  The Morse-Smale scan is keyed by
+stable set, and one walk of a^-1 b tests a pair and gives its incidence.
 
 The sigma count in the incidence formula admits two readings of the
 sign-change criterion; the shipped default ("value": count coordinates
@@ -24,7 +24,7 @@ from .cells import ChainComplex
 from .errors import ConfigError, CorruptComplexError, IncidenceError
 from .lie import WeylElement, WeylGroup
 from .matrices import IntMatrix
-from .signs import apply_weyl
+from .signs import _act, _odd_columns
 
 SIGMA_INTERPRETATIONS = ("value", "flip")
 
@@ -67,10 +67,7 @@ def unstable_set(a: WeylElement) -> frozenset:
 
 
 def stable_set(a: WeylElement) -> frozenset:
-    W = a.group
-    return frozenset(
-        i for i in range(1, W.rank + 1) if W.sends_simple_root_negative(a, i)
-    )
+    return frozenset(i + 1 for i in range(a.group.rank) if a.group._descents[a.position] >> i & 1)
 
 
 def critical_point(a: WeylElement) -> CriticalPoint:
@@ -82,36 +79,61 @@ def label(a: WeylElement) -> str:
 
 
 def index(a: WeylElement) -> int:
-    return len(unstable_set(a))
+    return a.group.rank - a.group._descents[a.position].bit_count()
 
 
 def toda_graph(W: WeylGroup) -> TodaGraph:
     edges = []
     for a in W.elements:
-        for i in sorted(unstable_set(a)):
-            edges.append((a, W.multiply(a, W.simple_reflection(i)), i))
+        row, sa = W._right[a.position], W._descents[a.position]
+        edges.extend((a, W.elements[row[i]], i + 1) for i in range(W.rank) if not sa >> i & 1)
     return TodaGraph(W.elements, tuple(edges))
+
+
+def _descend(W: WeylGroup, a: WeylElement, b: WeylElement, ua: int, sb: int) -> list | None:
+    """Zero-based letters walking a^-1 b down to e by right descents in B, then in A; in order
+    they act on signs as a^-1 b.  None if a W_A and b W_B do not meet (W_A's descents lie in A)."""
+    rep, letters = W._coset_walk(W._walk(W.inverse(a).position, b.word), sb)
+    e, more = W._coset_walk(rep, ua)
+    return None if e else letters + more
+
+
+def _incidence(W: WeylGroup, a: WeylElement, b: WeylElement, flip: bool, odd) -> int | None:
+    """Incidence of a -> b, b stable on a's stable roots plus one; None if not transversal."""
+    full = (1 << W.rank) - 1
+    sa = W._descents[a.position]
+    i = W._descents[b.position] & ~sa
+    letters = _descend(W, a, b, full ^ sa, sa | i)
+    if letters is None:
+        return None
+    red = _act(letters, full, i, odd)[1]
+    if ((red ^ i if flip else red) & ~sa).bit_count() & 1:
+        return 0
+    return 2 * (-1) ** (b.length + 1 + (sa & i - 1).bit_count())
+
+
+def _is_flip(interpretation: str) -> bool:
+    if interpretation not in SIGMA_INTERPRETATIONS:
+        raise ConfigError(f"unknown sigma interpretation {interpretation!r}")
+    return interpretation == "flip"
 
 
 def is_transversal(a: WeylElement, b: WeylElement) -> bool:
     """Algebraic transversality of the connection a -> b (three conditions).
 
-    The third asks that the cosets a W_A and b W_B meet, for A the unstable
-    set of a and B the stable set of b (they then meet in a coset of
-    W_(A&B)).  They meet iff a^-1 b is in W_A W_B, iff the minimal
-    representative of a^-1 b W_B is in W_A: a right descent of u in W_A
-    is a letter of A, so reducing u v (v in W_B) never leaves W_A.
+    For A the unstable set of a and B the stable set of b: |A & B| is the
+    index drop, A | B is every simple root (W_(A|B) = W only then), and
+    the cosets a W_A and b W_B meet (then in a coset of W_(A&B)).
     """
     if a.group is not b.group:
         raise ConfigError("elements from different groups")
     W = a.group
-    ua = unstable_set(a)
-    sb = stable_set(b)
-    if len(ua & sb) != index(a) - index(b):
+    full = (1 << W.rank) - 1
+    ua = full ^ W._descents[a.position]
+    sb = W._descents[b.position]
+    if (ua & sb).bit_count() != index(a) - index(b) or ua | sb != full:
         return False
-    if W.parabolic_order(ua | sb) != len(W):
-        return False
-    return ua.issuperset(W.min_coset_rep(W.multiply(W.inverse(a), b), sb).word)
+    return _descend(W, a, b, ua, sb) is not None
 
 
 def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> int:
@@ -128,62 +150,48 @@ def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> 
     root index, is what makes the boundary square to zero through rank 3
     and keeps the two families sign-symmetric at every rank.
     """
-    if interpretation not in SIGMA_INTERPRETATIONS:
-        raise ConfigError(f"unknown sigma interpretation {interpretation!r}")
+    flip = _is_flip(interpretation)
     W = a.group
     if W is not b.group:
         raise ConfigError("elements from different groups")
-    ua = unstable_set(a)
-    sb = stable_set(b)
     if index(a) != index(b) + 1:
         raise IncidenceError("incidence needs index(a) == index(b) + 1")
-    inter = ua & sb
-    if len(inter) != 1:
+    if (~W._descents[a.position] & W._descents[b.position]).bit_count() != 1:
         raise IncidenceError("incidence needs a single shared direction")
-    if not is_transversal(a, b):
+    # The first two transversality conditions now hold.
+    value = _incidence(W, a, b, flip, _odd_columns(W.cartan))
+    if value is None:
         raise IncidenceError("connection is not transversal")
-    (i,) = inter
-    eps = tuple(-1 if j in inter else 1 for j in range(1, W.rank + 1))
-    x = W.multiply(W.inverse(a), b)
-    eps2 = apply_weyl(x, eps, W.cartan)
-    if interpretation == "value":
-        sigma = sum(1 for j in ua if eps2[j - 1] == -1)
-    else:
-        sigma = sum(1 for j in ua if eps[j - 1] * eps2[j - 1] < 0)
-    nested_pos = 1 + sum(1 for j in stable_set(a) if j < i)
-    return (1 + (-1) ** sigma) * (-1) ** (b.length + nested_pos)
+    return value
 
 
 def is_abelian_unstable(a: WeylElement) -> bool:
-    """Whether the unstable parabolic subgroup is abelian (cycle predicate)."""
-    W = a.group
-    elems = W.parabolic_elements(unstable_set(a))
-    for u in elems:
-        for v in elems:
-            if W.multiply(u, v) is not W.multiply(v, u):
-                return False
-    return True
-
-
-def _by_index(W: WeylGroup) -> tuple[tuple[WeylElement, ...], ...]:
-    return tuple(tuple(w for w in W.elements if index(w) == k) for k in range(W.rank + 1))
+    """Whether the unstable parabolic subgroup is abelian (its generators commute)."""
+    W, u = a.group, sorted(unstable_set(a))
+    return all(W._walk(0, (i, j)) == W._walk(0, (j, i)) for i in u for j in u)
 
 
 def morse_smale_edges(W: WeylGroup, interpretation: str = "value") -> tuple[MorseEdge, ...]:
-    """All transversal index-drop-one connections, with incidence numbers."""
-    bases = _by_index(W)
-    return tuple(
-        MorseEdge(a, b, incidence(a, b, interpretation))
-        for k in range(W.rank, 0, -1)
-        for a in bases[k]
-        for b in bases[k - 1]
-        if is_transversal(a, b)
-    )
+    """All transversal index-drop-one connections with incidences, by falling source index, then
+    position.  Conditions 1-2 make b stable on a's stable roots plus one, the only sets tried."""
+    flip = _is_flip(interpretation)
+    odd = _odd_columns(W.cartan)
+    by_stable: dict[int, list[WeylElement]] = {}
+    for w in W.elements:
+        by_stable.setdefault(W._descents[w.position], []).append(w)
+    edges = []
+    for a in sorted(W.elements, key=index, reverse=True):
+        sa = W._descents[a.position]
+        ups = (sa | 1 << i for i in range(W.rank) if not sa >> i & 1)
+        for b in sorted((b for s in ups for b in by_stable.get(s, ())), key=lambda w: w.position):
+            if (value := _incidence(W, a, b, flip, odd)) is not None:
+                edges.append(MorseEdge(a, b, value))
+    return tuple(edges)
 
 
 def _complex_from_edges(W: WeylGroup, edges) -> ChainComplex:
     """Morse chain complex graded by index, with the edges' nonzero incidences."""
-    bases = _by_index(W)
+    bases = tuple(tuple(w for w in W.elements if index(w) == k) for k in range(W.rank + 1))
     pos = {w: i for basis in bases for i, w in enumerate(basis)}
     entries: list[dict] = [{} for _ in bases]
     for e in edges:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 
 from .cells import ChainComplex
-from .homology import HomologyGroup
 from .lie import WeylGroup
 from .morse import MorseEdge, TodaGraph, label
 from .toda import Trajectory

@@ -6,14 +6,14 @@ subgroup.  A simple reflection s_i sends eps to eps' with
 negative exponent in the character action reduces mod 2.  Words act with
 the rightmost letter applied first, so the action respects the group
 law ``apply_weyl(u*v, eps) == apply_weyl(u, apply_weyl(v, eps))``.
+``_act``, on masks of the -1 entries, is its one implementation; cells run
+it on colored coordinates S, where it also gives an orientation sign (1 for S = all).
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError
 from .lie import CartanMatrix, WeylElement
-
-SignVector = tuple
 
 
 def validate_signs(eps, rank: int) -> tuple[int, ...]:
@@ -38,16 +38,38 @@ def sign_string(eps) -> str:
     return "".join("+" if e == 1 else "-" for e in eps)
 
 
+def _odd_columns(C: CartanMatrix) -> list[int]:
+    """Per letter s_(i+1), the mask of vertices j with C_{j,i} odd."""
+    return [sum(1 << j for j, row in enumerate(C.entries) if row[i] % 2) for i in range(C.rank)]
+
+
+def _act(letters, S: int, red: int, odd) -> tuple[int, int]:
+    """Orientation sign and Red mask on S after zero-based letters, first letter first.
+
+    The parity of a column sum outside S is the parity of the count of its odd entries there."""
+    sign = 1
+    for i in letters:
+        if red >> i & 1:
+            if (odd[i] & ~S).bit_count() & 1:
+                sign = -sign
+            red ^= odd[i] & S
+    return sign, red
+
+
+def _apply(letters, eps, C: CartanMatrix) -> tuple[int, ...]:
+    """Sign vector after one-based letters, first letter first."""
+    eps = validate_signs(eps, C.rank)
+    for i in letters:
+        if not 1 <= i <= C.rank:
+            raise ConfigError(f"simple-root index {i} out of range 1..{C.rank}")
+    red = sum(1 << j for j, e in enumerate(eps) if e == -1)
+    red = _act([i - 1 for i in letters], (1 << C.rank) - 1, red, _odd_columns(C))[1]
+    return tuple(-1 if red >> j & 1 else 1 for j in range(C.rank))
+
+
 def apply_simple_reflection(i: int, eps, C: CartanMatrix) -> tuple[int, ...]:
     """Action of s_i on a sign vector.  An involution for each i."""
-    eps = validate_signs(eps, C.rank)
-    if not 1 <= i <= C.rank:
-        raise ConfigError(f"simple-root index {i} out of range 1..{C.rank}")
-    if eps[i - 1] == 1:
-        return eps
-    return tuple(
-        e if C.entry(j, i) % 2 == 0 else -e for j, e in zip(C.simple_indices, eps)
-    )
+    return _apply([i], eps, C)
 
 
 def apply_weyl(w: WeylElement, eps, C: CartanMatrix) -> tuple[int, ...]:
@@ -55,7 +77,4 @@ def apply_weyl(w: WeylElement, eps, C: CartanMatrix) -> tuple[int, ...]:
 
     The result does not depend on the choice of reduced word.
     """
-    out = validate_signs(eps, C.rank)
-    for i in reversed(w.word):
-        out = apply_simple_reflection(i, out, C)
-    return out
+    return _apply(w.word[::-1], eps, C)

@@ -181,10 +181,10 @@ def integrate(
     Stops early at the first threshold crossing (or non-finite value) and
     records a blow-up event whose time is bisected to 1e-6 resolution.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if t_max <= 0:
-        raise ConfigError("t_max must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    if not 0 < t_max < np.inf:
+        raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     a = np.asarray(state.a, dtype=float)
     b = np.asarray(state.b, dtype=float)
     t = float(state.t)

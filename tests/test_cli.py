@@ -128,6 +128,15 @@ class TestHomology:
         assert obj["groups"][1]["free_rank"] == 6
 
 
+class TestEnvironment:
+    def test_non_integer_order_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "abc")
+        code, out, err = run(capsys, "homology", "--rank", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: TODATOPO_MAX_WEYL_ORDER must be an integer, got 'abc'\n"
+
+
 class TestMorse:
     def test_poincare_a3(self, capsys):
         code, out, _ = run(capsys, "morse", "--type", "A", "--rank", "3", "--poincare")
@@ -244,6 +253,23 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--rank", "2", "--signs=-x")
         assert code == 1
         assert "bad sign string '-x'" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--tmax", "nan"), ("--tmax", "inf"), ("--dt", "nan"), ("--dt", "inf")], ids="=".join
+    )
+    def test_non_finite_times_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", "--rank", "2", "--signs", "++", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--a0", "nan,0"), ("--b0", "inf,1"), ("--b0", "1,-inf")], ids="=".join
+    )
+    def test_non_finite_initial_values_rejected(self, capsys, argv):
+        code, _, err = run(capsys, "simulate", "--rank", "2", "--signs", "++", *argv)
+        assert code == 1
+        assert err == f"error: {argv[0]} values must be finite\n"
 
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",

@@ -4,6 +4,7 @@ import pytest
 
 from todatopo import (
     CartanMatrix,
+    ConfigError,
     GroupOrderCapError,
     InvalidCartanMatrixError,
     UnsupportedTypeError,
@@ -118,6 +119,12 @@ class TestGeneration:
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "5")
         with pytest.raises(GroupOrderCapError):
+            generate_weyl_group(cartan_matrix("A", 2))
+
+    @pytest.mark.parametrize("value", ["abc", "1e5", "12.0"])
+    def test_env_cap_not_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", value)
+        with pytest.raises(ConfigError, match="TODATOPO_MAX_WEYL_ORDER"):
             generate_weyl_group(cartan_matrix("A", 2))
 
     def test_duplicate_free_and_closed(self, W_A3):

@@ -2,6 +2,7 @@ import pytest
 
 from todatopo import (
     IncidenceError,
+    MorseEdge,
     betti_one,
     build_chain_complex,
     cartan_matrix,
@@ -122,6 +123,24 @@ class TestTransversalityReference:
         for a in W:
             for b in W:
                 assert is_transversal(a, b) == transversal_by_coset_intersection(a, b), (a, b)
+
+
+class TestScanReference:
+    @pytest.mark.parametrize("sigma", ["value", "flip"])
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+    def test_every_index_drop_one_pair(self, label, rank, sigma):
+        # every pair in (falling source index, source, target) order, tested
+        # and valued by the public functions
+        W = generate_weyl_group(cartan_matrix(label, rank))
+        want = [
+            MorseEdge(a, b, incidence(a, b, sigma))
+            for k in range(W.rank, 0, -1)
+            for a in W
+            if index(a) == k
+            for b in W
+            if index(b) == k - 1 and is_transversal(a, b)
+        ]
+        assert list(morse_smale_edges(W, sigma)) == want
 
 
 class TestIncidence:
@@ -281,6 +300,12 @@ class TestBettiFormulas:
         groups = homology_of(build_chain_complex(W_A4))
         values = [conjectured_betti(4, k) for k in range(2, 5)]
         assert values == [g.free_rank for g in groups[2:]] == [25, 0, 0]
+
+    @pytest.mark.slow
+    def test_a5_conjecture_matches_cellular(self):
+        groups = homology_of(build_chain_complex(generate_weyl_group(cartan_matrix("A", 5))))
+        values = [conjectured_betti(5, k) for k in range(2, 6)]
+        assert values == [g.free_rank for g in groups[2:]] == [75, 61, 0, 0]
 
     @pytest.mark.parametrize("fix,l", [("W_A2", 2), ("W_A3", 3), ("W_A4", 4), ("A5", 5)])
     def test_whisker_counts_against_enumeration(self, fix, l, request):

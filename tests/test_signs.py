@@ -18,6 +18,13 @@ def all_signs(l):
     return list(product((1, -1), repeat=l))
 
 
+def transcribed_action(w, eps, C):
+    """eps'_j = eps_j * eps_i ** (C_{j,i} mod 2) for each letter s_i, rightmost first."""
+    for i in reversed(w.word):
+        eps = tuple(e * eps[i - 1] ** (C.entry(j, i) % 2) for j, e in enumerate(eps, start=1))
+    return eps
+
+
 class TestStrings:
     def test_roundtrip(self):
         assert parse_sign_string("+-") == (1, -1)
@@ -84,6 +91,13 @@ class TestWeylAction:
                 uv = W.multiply(u, v)
                 for eps in signs:
                     assert apply_weyl(uv, eps, C) == apply_weyl(u, apply_weyl(v, eps, C), C)
+
+    @pytest.mark.parametrize("fix", ["W_A3", "W_B3", "W_G2"])
+    def test_matches_transcription(self, fix, request):
+        W = request.getfixturevalue(fix)
+        for w in W:
+            for eps in all_signs(W.rank):
+                assert apply_weyl(w, eps, W.cartan) == transcribed_action(w, eps, W.cartan)
 
     @given(st.integers(min_value=1, max_value=3), st.data())
     def test_all_plus_fixed_by_every_element(self, rank, data):

@@ -87,6 +87,16 @@ class TestStep:
             step(TodaState((0.0,), (1.0,)), 0.0)
 
 
+class TestIntegrateArguments:
+    @pytest.mark.parametrize("t_max,dt", [
+        (math.nan, 1e-3), (math.inf, 1e-3), (-1.0, 1e-3), (0.0, 1e-3),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, 0.0),
+    ])
+    def test_rejects_non_finite_or_non_positive(self, t_max, dt):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            integrate(TodaState((0.0,), (1.0,)), t_max, dt)
+
+
 class TestBlowup:
     def test_n2_negative_sector_blows_up_at_known_time(self):
         # a=0, b=-1: the slope satisfies da/dt = -(1 + a^2), a pole at pi/2
