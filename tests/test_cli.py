@@ -70,12 +70,19 @@ class TestCells:
 
 # sha256 of artifacts written by the root-permutation implementation of the
 # Weyl group; the table-driven arithmetic must reproduce them byte for byte.
+# The simulate artifacts were written by the numpy-vector integrator with one
+# chevalley_invariants call per step; the Python-float steps and the blocked
+# invariants must reproduce them byte for byte too.
 PINNED_SHA256 = {
     "b3_cells.csv": "2cf53e86cd85a3d728ee6dbad0040478fab5c4d5e6d99e28115a17c027c8bb3b",
     "b3_boundaries.csv": "09da2866d7f41f92126f4091ce462e203522980b511c5faff91e57282b065149",
     "a3_morse.json": "973002247ccd15212bf38007a433d14a5f6674f9945908b3c2e20f5f5aba7425",
     "a3_toda.dot": "806ec8b3e87f282ebac2e3b0d7f8bc424763596b9b2e8216a24e0589ac1b9ea6",
     "a3_morse.dot": "c8f952b79a87c9bfa8080f6fd42355da843b26919ccad4a7a328cda961d8e010",
+    "r3_bounded.json": "bc566d1e642576a064e6134b9b927b26cfefd1860eb748032ad1bf1aeaa55098",
+    "r3_escape.json": "2f50f862c7090b3fb9579bf7ecb7a30a88ab0c4551ee38d5616fb48d3ad0b550",
+    "r4.json": "2075c34199352f7419d1a985704266178c4231e4e87598c879d5e64124112b4f",
+    "r4_trajectory.csv": "3e298a8718aaa00a037512a73e76e9e7b3068b1bba2a41c01ed9c80954e827de",
 }
 
 
@@ -103,6 +110,26 @@ class TestPinnedArtifacts:
         )
         assert code == 0
         self.check(tmp_path, ["a3_morse.json", "a3_toda.dot", "a3_morse.dot"])
+
+    @pytest.mark.parametrize("name,argv", [
+        ("r3_bounded.json", ["--rank", "3", "--signs=+++", "--tmax", "1"]),
+        ("r3_escape.json", ["--rank", "3", "--signs=-+-"]),
+    ])
+    def test_simulate_rank3(self, capsys, tmp_path, name, argv):
+        code, _, _ = run(capsys, "simulate", *argv, "--output", str(tmp_path / name))
+        assert code == 0
+        self.check(tmp_path, [name])
+
+    def test_simulate_rank4_trajectory(self, capsys, tmp_path):
+        # 301 rows: the invariants span several blocks.
+        code, _, _ = run(
+            capsys, "simulate", "--rank", "4", "--signs=+-++", "--tmax", "0.3",
+            "--a0=0.25,-0.5,0.125,0.75", "--b0=1.5,-0.5,0.75,1.25",
+            "--trajectory", str(tmp_path / "r4_trajectory.csv"),
+            "--output", str(tmp_path / "r4.json"),
+        )
+        assert code == 0
+        self.check(tmp_path, ["r4.json", "r4_trajectory.csv"])
 
 
 class TestHomology:
@@ -270,6 +297,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--rank", "2", "--signs", "++", *argv)
         assert code == 1
         assert err == f"error: {argv[0]} values must be finite\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_non_positive_threshold_rejected(self, capsys, value):
+        code, out, err = run(capsys, "simulate", "--rank", "2", "--signs", "++", "--tmax", "1",
+                             f"--threshold={value}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: threshold must be positive, got {float(value)}\n"
 
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",

@@ -14,6 +14,7 @@ from todatopo import (
     step,
     subsystem,
 )
+from todatopo import toda
 from todatopo.errors import ConfigError
 
 floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -174,3 +175,147 @@ class TestTrajectory:
             ev0 = eigenvalues(s)
             evf = eigenvalues(traj.final_state())
             assert np.max(np.abs(evf - ev0)) < 1e-9
+
+
+# A numpy transcription of the step loop integrate() ran before it moved to
+# Python floats, with the invariants computed per row as chevalley_invariants
+# does.  It shares no code with the package: integrate() and step() must
+# reproduce it bit for bit.
+def _ref_derivative(a, b):
+    padded = np.concatenate(([0.0], a, [0.0]))
+    lap = padded[:-2] - 2.0 * padded[1:-1] + padded[2:]
+    return b.copy(), b * lap
+
+
+def _ref_rk4(a, b, h):
+    k1a, k1b = _ref_derivative(a, b)
+    k2a, k2b = _ref_derivative(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+    k3a, k3b = _ref_derivative(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+    k4a, k4b = _ref_derivative(a + h * k3a, b + h * k3b)
+    na = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    nb = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    return na, nb
+
+
+def _ref_invariants(a, b):
+    n = len(a) + 1
+    X = np.zeros((n, n))
+    for j in range(n):
+        X[j, j] = (a[j] if j < n - 1 else 0.0) - (a[j - 1] if j > 0 else 0.0)
+    for i in range(n - 1):
+        X[i, i + 1] = 1.0
+        X[i + 1, i] = b[i]
+    out, P = [], X
+    for _ in range(2, n + 1):
+        P = P @ X
+        out.append(float(np.trace(P)))
+    return tuple(out)
+
+
+def _ref_exceeds(a, b, threshold):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return True
+    return float(max(np.max(np.abs(a)), np.max(np.abs(b)))) > threshold
+
+
+def _ref_integrate(a, b, t_max, dt, threshold=1e8):
+    """(times, a rows, b rows, invariant rows, blow-up time, halvings)."""
+    a, b, t = np.asarray(a, dtype=float), np.asarray(b, dtype=float), 0.0
+    times, arows, brows, halved = [t], [tuple(a)], [tuple(b)], 0
+    while t < t_max - 1e-12:
+        h = min(dt, t_max - t)
+        na, nb = _ref_rk4(a, b, h)
+        halvings = 0
+        scale = max(np.max(np.abs(b)), 1.0)
+        while halvings < 48 and (not np.all(np.isfinite(nb)) or np.max(np.abs(nb)) > 2.0 * scale):
+            h *= 0.5
+            halvings += 1
+            na, nb = _ref_rk4(a, b, h)
+        halved += halvings
+        if _ref_exceeds(na, nb, threshold):
+            lo, hi = 0.0, h
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                if _ref_exceeds(*_ref_rk4(a, b, mid), threshold):
+                    hi = mid
+                else:
+                    lo = mid
+            inv = [_ref_invariants(x, y) for x, y in zip(arows, brows)]
+            return times, arows, brows, inv, t + hi, halved
+        t += h
+        a, b = na, nb
+        times.append(t)
+        arows.append(tuple(a))
+        brows.append(tuple(b))
+    inv = [_ref_invariants(x, y) for x, y in zip(arows, brows)]
+    return times, arows, brows, inv, None, halved
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=float).tobytes()
+
+
+class TestAgainstNumpyReference:
+    def check(self, a, b, t_max, dt, threshold=1e8):
+        traj = integrate(TodaState(a, b), t_max, dt, threshold)
+        times, arows, brows, inv, blowup, halved = _ref_integrate(a, b, t_max, dt, threshold)
+        assert _bits(traj.times) == _bits(times)
+        assert _bits(traj.a) == _bits(arows)
+        assert _bits(traj.b) == _bits(brows)
+        assert _bits(traj.invariants) == _bits(inv)
+        assert detect_blowup(traj) == blowup
+        return traj, halved
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_bounded(self, rank):
+        a = tuple(0.25 * (-1) ** i * (i + 1) / rank for i in range(rank))
+        b = tuple(0.5 + 0.125 * i for i in range(rank))
+        traj, _ = self.check(a, b, 0.2, 1e-3)
+        assert traj.blowup is None and len(traj.times) == 201
+
+    def test_escape_halves_and_bisects(self):
+        traj, halved = self.check((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 5.0, 1e-3)
+        assert traj.blowup is not None
+        assert halved > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_drift_passes_over_nan_rows(self):
+        # With threshold=inf the run goes on until a step overflows; the powers
+        # of X of the last recorded row overflow and its invariants hold NaN.
+        traj, _ = self.check((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 5.0, 1e-3, math.inf)
+        assert np.isnan(traj.invariants[-1]).any()
+        first = np.asarray(traj.invariants[0])
+        expected = max(np.max(np.abs(np.asarray(row) - first)) for row in traj.invariants)
+        assert math.isfinite(expected)
+        assert traj.max_invariant_drift() == expected
+
+    @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (4, 1)])
+    def test_invariant_block_edge(self, blocks, extra):
+        rows = blocks * toda._INVARIANT_BLOCK + extra
+        # dt = 2^-10 keeps every recorded time exact, so the row count is rows.
+        dt = 2.0 ** -10
+        traj, _ = self.check((0.1, -0.2, 0.3, -0.4), (1.0, -0.5, 0.75, 1.25), (rows - 1) * dt, dt)
+        assert len(traj.times) == rows
+
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2])
+    def test_step(self, dt):
+        a, b = (0.3, -0.1, 0.2), (1.5, -0.5, 0.25)
+        out = step(TodaState(a, b), dt)
+        na, nb = _ref_rk4(np.array(a), np.array(b), dt)
+        assert _bits(out.a) == _bits(na)
+        assert _bits(out.b) == _bits(nb)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_non_positive(self, threshold):
+        with pytest.raises(ConfigError, match="threshold must be positive"):
+            integrate(TodaState((0.0,), (1.0,)), 1.0, 1e-3, threshold=threshold)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_inf_counts_only_non_finite(self):
+        # The b's grow until a step overflows, so the last recorded powers of X overflow too.
+        traj = integrate(TodaState((0.0,), (-1.0,)), 5.0, 1e-3, threshold=math.inf)
+        assert traj.blowup is not None
+        assert traj.blowup.time == pytest.approx(math.pi / 2, abs=1e-3)
