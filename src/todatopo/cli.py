@@ -209,6 +209,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError("b0 signs disagree with --signs")
     else:
         b0 = tuple(float(e) for e in signs)
+    if math.isinf(args.threshold):
+        # integrate(threshold=inf) would record states until a step overflows.
+        raise ConfigError(f"threshold must be finite, got {args.threshold}")
     state = TodaState(a0, b0)
     ev0 = eigenvalues(state)
     traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)

@@ -3,10 +3,10 @@
 All arithmetic is on Python ints, so intermediate entry growth cannot
 overflow.  ``smith_normal_form`` tracks the unimodular transforms and
 pivots on a smallest-magnitude nonzero entry, the standard growth
-mitigation.  ``invariant_factors`` (the homology path) needs no
-transforms: it eliminates sparsely, in rounds that pivot on entries
-equal to the gcd of what is left, and runs the dense reduction only on
-a residue in which no entry equals that gcd.
+mitigation.  ``invariant_factors`` (the homology path) eliminates
+sparsely, in rounds that pivot on entries equal to the gcd of what is
+left, and hands ``smith_normal_form`` only a residue in which no entry
+equals that gcd.
 """
 
 from __future__ import annotations
@@ -67,48 +67,47 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_core(A, track: bool):
-    """In-place Smith reduction; returns (U, V) when tracking else (None, None)."""
+def smith_normal_form(M) -> SmithDecomposition:
+    """Exact Smith decomposition of an integer matrix (possibly empty)."""
+    A = [list(int(x) for x in row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m) if track else None
-    V = _identity(n) if track else None
+    for row in A:
+        if len(row) != n:
+            raise ValueError("ragged input matrix")
+    U = _identity(m)
+    V = _identity(n)
 
     def row_add(src, dst, q):  # row dst += q * row src
         arow, srow = A[dst], A[src]
         for j in range(n):
             if srow[j]:
                 arow[j] += q * srow[j]
-        if track:
-            for r in range(m):
-                U[r][src] -= q * U[r][dst]
+        for r in range(m):
+            U[r][src] -= q * U[r][dst]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        if track:
-            for r in range(m):
-                U[r][i], U[r][j] = U[r][j], U[r][i]
+        for r in range(m):
+            U[r][i], U[r][j] = U[r][j], U[r][i]
 
     def row_negate(i):
         A[i] = [-x for x in A[i]]
-        if track:
-            for r in range(m):
-                U[r][i] = -U[r][i]
+        for r in range(m):
+            U[r][i] = -U[r][i]
 
     def col_add(src, dst, q):  # col dst += q * col src
         for r in range(m):
             if A[r][src]:
                 A[r][dst] += q * A[r][src]
-        if track:
-            vs, vd = V[src], V[dst]
-            for j in range(n):
-                vs[j] -= q * vd[j]
+        vs, vd = V[src], V[dst]
+        for j in range(n):
+            vs[j] -= q * vd[j]
 
     def col_swap(i, j):
         for r in range(m):
             A[r][i], A[r][j] = A[r][j], A[r][i]
-        if track:
-            V[i], V[j] = V[j], V[i]
+        V[i], V[j] = V[j], V[i]
 
     t = 0
     while t < m and t < n:
@@ -172,18 +171,6 @@ def _snf_core(A, track: bool):
         if A[t][t] < 0:
             row_negate(t)
         t += 1
-    return U, V
-
-
-def smith_normal_form(M) -> SmithDecomposition:
-    """Exact Smith decomposition of an integer matrix (possibly empty)."""
-    A = [list(int(x) for x in row) for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for row in A:
-        if len(row) != n:
-            raise ValueError("ragged input matrix")
-    U, V = _snf_core(A, track=True)
     return SmithDecomposition(
         tuple(tuple(r) for r in U),
         tuple(tuple(r) for r in A),
@@ -269,16 +256,14 @@ def _unit_strip(mat: IntMatrix):
 
 
 def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, without transform tracking.
+    """Nonzero diagonal of the Smith form.
 
     Sparse gcd-pivot rounds (``_unit_strip``) give the leading factors in
-    divisibility order; the dense reduction only sees a residue in which
+    divisibility order; ``smith_normal_form`` only sees a residue in which
     no entry equals the gcd, and its factors follow as multiples of it.
     """
     factors, dense = _unit_strip(mat)
-    if dense:
-        _snf_core(dense, track=False)
-        factors.extend(abs(dense[i][i]) for i in range(min(len(dense), len(dense[0]))) if dense[i][i])
+    factors.extend(d for d in smith_normal_form(dense).diagonal if d)
     return tuple(factors)
 
 

@@ -1,11 +1,11 @@
 """Cartan matrices and finite Weyl groups.
 
-The group is enumerated once through its faithful action on the root
-set; after that an element is its position in the (length, word) order,
-and products, inverses and coset representatives are walks along one
-table of right multiplications by simple reflections.  Each element
-keeps its length and its lexicographically smallest reduced word, the
-canonical serialized form.  Simple roots are one-indexed throughout the
+The group is enumerated once on the orbit of rho, on which it acts
+simply transitively; after that an element is its position in the
+(length, word) order, and products, inverses and coset representatives
+are walks along one table of right multiplications by simple
+reflections.  Each element keeps its length and its lexicographically
+smallest reduced word, the canonical serialized form.  Simple roots are one-indexed throughout the
 public API and node numbering follows the Bourbaki tables.
 
 The convention for the matrix is ``entry(i, j) = <alpha_i, coroot(alpha_j)>``,
@@ -30,8 +30,6 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 51840
 MAX_ORDER_ENV = "TODATOPO_MAX_WEYL_ORDER"
-
-_ROOT_CAP = 4096
 
 _RANK_RANGES = {
     "A": (1, 16),
@@ -165,25 +163,15 @@ def cartan_matrix(type_label: str, rank: int) -> CartanMatrix:
     return CartanMatrix(t, l, tuple(tuple(row) for row in m))
 
 
-def _reflect_root(entries, beta, i):
-    """Image of the root ``beta`` (simple-root coordinates) under s_{i+1}."""
-    pairing = sum(beta[j] * entries[j][i] for j in range(len(beta)) if beta[j])
-    new = list(beta)
-    new[i] -= pairing
-    return tuple(new)
-
-
 @dataclass(frozen=True, eq=False)
 class WeylElement:
     """Group element: its position in the group's (length, word) order.
 
     ``word`` is the lexicographically smallest reduced word, as one-based
-    simple-reflection indices; it is the canonical serialization.  ``perm``
-    is the action on the group's roots, read only while enumerating.
+    simple-reflection indices; it is the canonical serialization.
     """
 
     group: "WeylGroup" = field(repr=False)
-    perm: tuple[int, ...] = ()
     word: tuple[int, ...] = ()
     length: int = 0
     position: int = 0
@@ -232,56 +220,41 @@ class WeylGroup(Sequence):
         l = cartan.rank
         entries = cartan.entries
 
-        # Breadth-first closures below walk lists that grow while walked.
-        roots = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-        index = {beta: n for n, beta in enumerate(roots)}
-        for beta in roots:
-            for i in range(l):
-                img = _reflect_root(entries, beta, i)
-                if img not in index:
-                    if len(roots) >= _ROOT_CAP:
-                        raise InvalidCartanMatrixError("root closure did not stay finite")
-                    index[img] = len(roots)
-                    roots.append(img)
-        self.roots = tuple(roots)
-        self._root_positive = tuple(all(c >= 0 for c in beta) for beta in roots)
-        gens = tuple(
-            tuple(index[_reflect_root(entries, beta, i)] for beta in roots) for i in range(l)
-        )
-
-        # The group acts faithfully on the roots; an element's depth is its length.
-        identity = tuple(range(len(roots)))
-        perms, lengths, words, right, descents = [identity], [0], [()], [], []
-        found = {identity: 0}
-        for k, p in enumerate(perms):
+        # W acts simply transitively on the chambers, so w is keyed by
+        # v = w^-1 rho in fundamental-weight coordinates, rho = (1, ..., 1).
+        # (w s_i)^-1 rho = s_i v has v'_j = v_j - v_i * C[i][j]; bit i is a right
+        # descent of w iff v_i < 0, and an element's BFS depth is its length.
+        orbit, lengths, words, right, descents = [(1,) * l], [0], [()], [], []
+        found = {orbit[0]: 0}
+        for k, v in enumerate(orbit):
             row = []
-            for g in gens:
-                q = tuple(p[x] for x in g)
+            for vi, ci in zip(v, entries):
+                q = tuple(x - vi * c for x, c in zip(v, ci))
                 j = found.get(q)
                 if j is None:
-                    if len(perms) >= max_order:
+                    if len(orbit) >= max_order:
                         raise GroupOrderCapError(
                             f"group order exceeds the cap {max_order}; "
                             f"raise it via {MAX_ORDER_ENV} or max_order"
                         )
-                    j = found[q] = len(perms)
-                    perms.append(q)
+                    j = found[q] = len(orbit)
+                    orbit.append(q)
                     lengths.append(lengths[k] + 1)
                 row.append(j)
             right.append(row)
-            down = [i for i, j in enumerate(row) if lengths[j] < lengths[k]]
+            down = [i for i in range(l) if v[i] < 0]
             descents.append(sum(1 << i for i in down))
             if k:
                 # Dropping the last letter of the smallest reduced word leaves
                 # the smallest word of w * s_i for a right descent i.
                 words.append(min(words[row[i]] + (i + 1,) for i in down))
 
-        order = sorted(range(len(perms)), key=lambda k: (lengths[k], words[k]))
+        order = sorted(range(len(orbit)), key=lambda k: (lengths[k], words[k]))
         pos = {k: n for n, k in enumerate(order)}
         self._right = tuple(tuple(pos[j] for j in right[k]) for k in order)
         self._descents = tuple(descents[k] for k in order)
         self.elements = tuple(
-            WeylElement(self, perms[k], words[k], lengths[k], n) for n, k in enumerate(order)
+            WeylElement(self, words[k], lengths[k], n) for n, k in enumerate(order)
         )
         self.identity = self.elements[0]
         self.longest_element = self.elements[-1]
@@ -324,13 +297,6 @@ class WeylGroup(Sequence):
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
         return bool(self._descents[w.position] >> (i - 1) & 1)
-
-    def inversion_count(self, w: WeylElement) -> int:
-        return sum(
-            1
-            for r in range(len(self.roots))
-            if self._root_positive[r] and not self._root_positive[w.perm[r]]
-        )
 
     # -- parabolic machinery -------------------------------------------------
 

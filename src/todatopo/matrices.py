@@ -67,11 +67,3 @@ class IntMatrix:
     def triplets(self):
         """Sorted (row, col, value) list; the sparse interchange format."""
         return sorted((r, c, v) for (r, c), v in self.entries.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )

@@ -306,6 +306,16 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: threshold must be positive, got {float(value)}\n"
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_threshold_rejected(self, capsys, value):
+        # With an infinite threshold the escaping rank-1 run would overflow and
+        # report a meaningless drift, and the JSON would hold "Infinity".
+        code, out, err = run(capsys, "simulate", "--rank", "1", "--signs=-",
+                             f"--threshold={value}", "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: threshold must be finite, got {float(value)}\n"
+
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",
                            "--b0", "-1.0")

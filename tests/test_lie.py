@@ -13,7 +13,7 @@ from todatopo import (
     length,
     min_coset_rep,
 )
-from todatopo.lie import WeylGroup
+from todatopo.lie import DEFAULT_MAX_ORDER, WeylGroup
 
 
 def dense(C):
@@ -93,11 +93,18 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "label,rank,order",
         [("A", 2, 6), ("A", 3, 24), ("B", 2, 8), ("B", 3, 48), ("C", 3, 48),
-         ("D", 4, 192), ("G", 2, 12), ("F", 4, 1152)],
+         ("D", 4, 192), ("D", 5, 1920), ("G", 2, 12), ("F", 4, 1152)],
     )
     def test_orders(self, label, rank, order):
         W = generate_weyl_group(cartan_matrix(label, rank))
         assert len(W) == order
+
+    @pytest.mark.slow
+    def test_e6_fills_default_cap(self, monkeypatch):
+        monkeypatch.delenv("TODATOPO_MAX_WEYL_ORDER", raising=False)
+        W = generate_weyl_group(cartan_matrix("E", 6))
+        assert len(W) == 51840 == DEFAULT_MAX_ORDER
+        assert W.longest_element.length == 36
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_a_series_factorial(self, rank):
@@ -128,29 +135,62 @@ class TestGeneration:
             generate_weyl_group(cartan_matrix("A", 2))
 
     def test_duplicate_free_and_closed(self, W_A3):
-        perms = {w.perm for w in W_A3}
+        model = RootModel(W_A3)
+        perms = set(model.perm.values())
         assert len(perms) == len(W_A3)
-        s1 = W_A3.simple_reflection(1)
-        assert all(W_A3.multiply(w, s1) in perms or True for w in W_A3)  # lookup never fails
+        assert model.perm[W_A3.identity] == model.identity
+        # Closed under the generators and holding the identity: the whole group.
         for w in W_A3:
-            for i in range(1, 4):
-                assert W_A3.multiply(w, W_A3.simple_reflection(i)).perm in perms
+            for i, g in model.gens.items():
+                image = compose(model.perm[w], g)
+                assert image in perms
+                assert model.perm[W_A3.multiply(w, W_A3.simple_reflection(i))] == image
 
 
-def root_action(W, i):
-    """Permutation of ``W.roots`` by s_i, straight from the Cartan matrix."""
-    C = W.cartan.entries
-    where = {beta: n for n, beta in enumerate(W.roots)}
-    out = []
-    for beta in W.roots:
-        image = list(beta)
-        image[i - 1] -= sum(b * C[j][i - 1] for j, b in enumerate(beta))
-        out.append(where[tuple(image)])
-    return tuple(out)
+def reflect(C, beta, i):
+    """Image of the root ``beta`` (simple-root coordinates) under s_(i+1)."""
+    image = list(beta)
+    image[i] -= sum(b * C[j][i] for j, b in enumerate(beta))
+    return tuple(image)
 
 
 def compose(p, q):
     return tuple(p[x] for x in q)
+
+
+class RootModel:
+    """W acting on its roots, built here from the Cartan matrix alone.
+
+    The roots are the closure of the simple roots under the reflections;
+    an element's permutation composes the generators along its word.  No
+    part of it reads the group's table, descent masks or walks.
+    """
+
+    def __init__(self, W):
+        C = W.cartan.entries
+        l = W.rank
+        roots = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+        where = {beta: n for n, beta in enumerate(roots)}
+        for beta in roots:  # grows while walked
+            for i in range(l):
+                image = reflect(C, beta, i)
+                if image not in where:
+                    where[image] = len(roots)
+                    roots.append(image)
+        self.positive = [all(c >= 0 for c in beta) for beta in roots]
+        self.gens = {i + 1: tuple(where[reflect(C, beta, i)] for beta in roots) for i in range(l)}
+        self.identity = tuple(range(len(roots)))
+        self.perm = {}
+        for w in W:
+            p = self.identity
+            for i in w.word:
+                p = compose(p, self.gens[i])
+            self.perm[w] = p
+        self.by_perm = {p: w for w, p in self.perm.items()}
+
+    def inversions(self, w):
+        p = self.perm[w]
+        return sum(1 for r, image in enumerate(p) if self.positive[r] and not self.positive[image])
 
 
 class TestTableAgainstRootAction:
@@ -161,23 +201,26 @@ class TestTableAgainstRootAction:
     @pytest.mark.parametrize("fix", GROUPS)
     def test_multiply_and_inverse(self, fix, request):
         W = request.getfixturevalue(fix)
-        by_perm = {w.perm: w for w in W}
+        model = RootModel(W)
+        assert len(model.by_perm) == len(W)
         for i in range(1, W.rank + 1):
-            assert W.simple_reflection(i).perm == root_action(W, i)
+            assert model.perm[W.simple_reflection(i)] == model.gens[i]
         for u in W:
-            inv = [0] * len(u.perm)
-            for r, image in enumerate(u.perm):
+            pu = model.perm[u]
+            inv = [0] * len(pu)
+            for r, image in enumerate(pu):
                 inv[image] = r
-            assert W.inverse(u) is by_perm[tuple(inv)]
+            assert W.inverse(u) is model.by_perm[tuple(inv)]
             for v in W:
-                assert W.multiply(u, v) is by_perm[compose(u.perm, v.perm)]
+                assert W.multiply(u, v) is model.by_perm[compose(pu, model.perm[v])]
 
     @pytest.mark.parametrize("fix", GROUPS)
     def test_descents(self, fix, request):
         W = request.getfixturevalue(fix)
+        model = RootModel(W)
         for w in W:
             for i in range(1, W.rank + 1):
-                negative = any(c < 0 for c in W.roots[w.perm[i - 1]])
+                negative = not model.positive[model.perm[w][i - 1]]
                 assert W.sends_simple_root_negative(w, i) == negative
                 shorter = W.multiply(w, W.simple_reflection(i)).length < w.length
                 assert shorter == negative
@@ -187,20 +230,19 @@ class TestTableAgainstRootAction:
         import itertools
 
         W = request.getfixturevalue(fix)
-        by_perm = {w.perm: w for w in W}
-        gens = {i: root_action(W, i) for i in range(1, W.rank + 1)}
+        model = RootModel(W)
         for r in range(W.rank + 1):
             for S in itertools.combinations(range(1, W.rank + 1), r):
-                sub = {tuple(range(len(W.roots)))}
+                sub = {model.identity}
                 frontier = list(sub)
                 while frontier:
-                    frontier = {compose(p, gens[i]) for p in frontier for i in S} - sub
+                    frontier = {compose(p, model.gens[i]) for p in frontier for i in S} - sub
                     sub |= frontier
-                assert {w.perm for w in W.parabolic_elements(S)} == sub
+                assert {model.perm[w] for w in W.parabolic_elements(S)} == sub
                 reps = set()
                 for w in W:
-                    coset = [by_perm[compose(w.perm, x)] for x in sub]
-                    rep = min(coset, key=W.inversion_count)
+                    coset = [model.by_perm[compose(model.perm[w], x)] for x in sub]
+                    rep = min(coset, key=model.inversions)
                     assert W.min_coset_rep(w, S) is rep
                     reps.add(rep)
                 assert W.coset_min_reps(S) == tuple(sorted(reps, key=lambda w: w.position))
@@ -218,8 +260,9 @@ class TestLengthsAndWords:
     @pytest.mark.parametrize("fix", ["W_A3", "W_B2", "W_G2"])
     def test_length_equals_inversions(self, fix, request):
         W = request.getfixturevalue(fix)
+        model = RootModel(W)
         for w in W:
-            assert w.length == W.inversion_count(w)
+            assert w.length == model.inversions(w)
             assert len(w.word) == w.length
 
     def test_word_composes_to_perm(self, W_B3):
