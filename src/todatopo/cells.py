@@ -2,13 +2,15 @@
 
 A colored diagram (S, eta) marks a subset S of simple roots Red (-1) or
 Blue (+1) and labels a cell of codimension |S|; the cell carries the
-minimal-length representative of a left coset w * W_S.  Boundaries color
+minimal-length representative of a left coset w * W_S.  A diagram is
+stored as two bit masks, S and its Red vertices, and is built from a
+vertex-to-sign map by ``ColoredDynkinDiagram.from_map``.  Boundaries color
 one more vertex, with the literal sign ``(-1) ** (j + c + 1)`` where j
 counts uncolored vertices in increasing root order and c = 1 colors Red,
 c = 2 Blue.
 
 Pushing a residual x in W_S through a diagram runs ``signs._act`` on its
-(S, Red) masks: the sign action on the colored coordinates and, per letter
+two masks: the sign action on the colored coordinates and, per letter
 s_i, an orientation factor ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``,
 the determinant of the wall-gluing map on the cell's free coordinates.
 With it the boundary squares to zero and the rank-2 A-type complex
@@ -28,70 +30,74 @@ from .signs import _act, _odd_columns
 RED = -1
 BLUE = 1
 
-_COLOR_CHARS = {RED: "R", BLUE: "B"}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredDynkinDiagram:
-    """Coloring map on a subset of the diagram's vertices.
+    """Coloring of a subset S of the diagram's vertices, as two bit masks.
 
-    ``colors`` holds (vertex, sign) pairs sorted by vertex, sign in {+1, -1}.
+    Bit v - 1 of ``mask`` marks vertex v as colored and bit v - 1 of ``red``
+    marks it Red (-1); a colored vertex with a clear ``red`` bit is Blue (+1).
+    Build a diagram from a vertex-to-sign map with :meth:`from_map`.
     """
 
     rank: int
-    colors: tuple[tuple[int, int], ...] = ()
+    mask: int = 0
+    red: int = 0
 
     def __post_init__(self):
-        seen = set()
-        for v, s in self.colors:
-            if not 1 <= v <= self.rank:
-                raise ConfigError(f"colored vertex {v} out of range 1..{self.rank}")
-            if s not in (RED, BLUE):
-                raise ConfigError("colors must be +1 (Blue) or -1 (Red)")
-            seen.add(v)
-        if len(seen) != len(self.colors):
-            raise ConfigError("duplicate colored vertex")
-        if tuple(sorted(self.colors)) != self.colors:
-            raise ConfigError("colors must be sorted by vertex")
+        if not 0 <= self.mask < 1 << self.rank:
+            raise ConfigError(f"colored-vertex mask {self.mask:#b} exceeds rank {self.rank}")
+        if self.red & ~self.mask:
+            raise ConfigError("Red vertices must be colored")
 
     @classmethod
     def from_map(cls, rank, eta):
-        return cls(rank, tuple(sorted((int(v), int(s)) for v, s in dict(eta).items())))
+        mask = red = 0
+        for v, s in dict(eta).items():
+            v, s = int(v), int(s)
+            if not 1 <= v <= rank:
+                raise ConfigError(f"colored vertex {v} out of range 1..{rank}")
+            if s not in (RED, BLUE):
+                raise ConfigError("colors must be +1 (Blue) or -1 (Red)")
+            mask |= 1 << (v - 1)
+            if s == RED:
+                red |= 1 << (v - 1)
+        return cls(rank, mask, red)
+
+    @property
+    def colors(self) -> tuple[tuple[int, int], ...]:
+        """(vertex, sign) pairs sorted by vertex."""
+        return tuple((v, self.eta(v)) for v in self.colored_vertices)
 
     @property
     def S(self) -> frozenset:
-        return frozenset(v for v, _ in self.colors)
+        return frozenset(self.colored_vertices)
 
     @property
     def colored_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.colors)
+        return tuple(v for v in range(1, self.rank + 1) if self.mask >> (v - 1) & 1)
 
     @property
     def uncolored(self) -> tuple[int, ...]:
-        s = self.S
-        return tuple(i for i in range(1, self.rank + 1) if i not in s)
+        return tuple(v for v in range(1, self.rank + 1) if not self.mask >> (v - 1) & 1)
 
     def eta(self, v: int) -> int:
-        for u, s in self.colors:
-            if u == v:
-                return s
-        raise KeyError(f"vertex {v} is not colored")
-
-    def with_color(self, v: int, sign: int) -> "ColoredDynkinDiagram":
-        if v in self.S:
-            raise ConfigError(f"vertex {v} is already colored")
-        return ColoredDynkinDiagram(self.rank, tuple(sorted(self.colors + ((v, sign),))))
+        if not (1 <= v <= self.rank and self.mask >> (v - 1) & 1):
+            raise KeyError(f"vertex {v} is not colored")
+        return RED if self.red >> (v - 1) & 1 else BLUE
 
     def color_string(self) -> str:
         """Full-length string over R/B/o, position i describing vertex i."""
-        eta = dict(self.colors)
-        return "".join(_COLOR_CHARS.get(eta.get(i), "o") for i in range(1, self.rank + 1))
+        return "".join(
+            "R" if self.red >> i & 1 else "B" if self.mask >> i & 1 else "o"
+            for i in range(self.rank)
+        )
 
     def __repr__(self):
         return f"ColoredDynkinDiagram({self.color_string()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """Cell of the decomposition: diagram plus minimal coset representative."""
 
@@ -100,21 +106,11 @@ class Cell:
 
     @property
     def codim(self) -> int:
-        return len(self.diagram.colors)
+        return self.diagram.mask.bit_count()
 
     @property
     def dim(self) -> int:
         return self.diagram.rank - self.codim
-
-
-def _masks(diagram: ColoredDynkinDiagram) -> tuple[int, int]:
-    """The colored set and the Red vertices of a diagram, as bit masks."""
-    S = red = 0
-    for v, s in diagram.colors:
-        S |= 1 << (v - 1)
-        if s == RED:
-            red |= 1 << (v - 1)
-    return S, red
 
 
 def ws_act_on_diagram(
@@ -128,16 +124,15 @@ def ws_act_oriented(
     x: WeylElement, diagram: ColoredDynkinDiagram, C: CartanMatrix
 ) -> tuple[int, ColoredDynkinDiagram]:
     """Color permutation together with the orientation sign of the gluing."""
-    S = diagram.S
+    S = diagram.mask
     for i in x.word:
-        if i not in S:
+        if not S >> (i - 1) & 1:
             raise NotInSubgroupError(
-                f"letter {i} is not in the colored set {sorted(S)}; element outside W_S"
+                f"letter {i} is not in the colored set {list(diagram.colored_vertices)}; "
+                "element outside W_S"
             )
-    smask, red = _masks(diagram)
-    sign, red = _act([i - 1 for i in reversed(x.word)], smask, red, _odd_columns(C))
-    colors = tuple((v, RED if red >> (v - 1) & 1 else BLUE) for v, _ in diagram.colors)
-    return sign, ColoredDynkinDiagram(diagram.rank, colors)
+    sign, red = _act([i - 1 for i in reversed(x.word)], S, diagram.red, _odd_columns(C))
+    return sign, ColoredDynkinDiagram(diagram.rank, S, red)
 
 
 def diagram_boundary(
@@ -152,9 +147,9 @@ def diagram_boundary(
         raise ConfigError(f"boundary index {j} out of range 1..{len(uncolored)}")
     if c not in (1, 2):
         raise ConfigError("color index must be 1 (Red) or 2 (Blue)")
-    v = uncolored[j - 1]
-    sign = (-1) ** (j + c + 1)
-    return sign, diagram.with_color(v, (-1) ** c)
+    bit = 1 << (uncolored[j - 1] - 1)
+    red = diagram.red | bit if c == 1 else diagram.red
+    return (-1) ** (j + c + 1), ColoredDynkinDiagram(diagram.rank, diagram.mask | bit, red)
 
 
 def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
@@ -170,8 +165,9 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     out = []
     for S in combinations(range(1, l + 1), codim):
         reps = W.coset_min_reps(S)
-        for signs in product((BLUE, RED), repeat=codim):
-            diagram = ColoredDynkinDiagram(l, tuple(zip(S, signs)))
+        bits = [1 << (v - 1) for v in S]
+        for reds in product(*((0, b) for b in bits)):
+            diagram = ColoredDynkinDiagram(l, sum(bits), sum(reds))
             for rep in reps:
                 out.append(Cell(diagram, rep))
     return tuple(out)
@@ -244,7 +240,7 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     l = W.rank
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
     index = [
-        {(*_masks(cell.diagram), cell.rep.position): i for i, cell in enumerate(basis)}
+        {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i for i, cell in enumerate(basis)}
         for basis in bases
     ]
     boundaries = [IntMatrix(0, len(bases[0]), {})]
@@ -255,7 +251,7 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
             D = cell.diagram
             if D not in faces:
                 faces[D] = [
-                    (sgn, *_masks(face))
+                    (sgn, face.mask, face.red)
                     for j in range(1, len(D.uncolored) + 1)
                     for sgn, face in (diagram_boundary(D, j, 1), diagram_boundary(D, j, 2))
                 ]

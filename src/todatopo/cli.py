@@ -120,22 +120,7 @@ def cmd_morse(args) -> int:
         "rank": args.rank,
     }
     lines: list[str] = []
-    if selectors:
-        if args.poincare:
-            coeffs = poincare_polynomial(args.rank)
-            obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
-            lines.append(f"principal-cell polynomial: {report.poly_str(coeffs)}")
-        if args.betti1:
-            b1 = betti_one(args.rank)
-            obj["betti1"] = b1
-            lines.append(f"betti_1 = {b1}")
-        if args.conjecture:
-            table = _betti_table(args.rank)
-            obj["betti_table"] = table
-            for row in table:
-                tag = " (conjecture)" if row["conjecture"] else ""
-                lines.append(f"betti_{row['k']} = {row['value']}{tag}")
-    else:
+    if not selectors:
         _morse_gated(args)
         W = _build_group(args)
         obj["sigma_interpretation"] = args.sigma
@@ -164,21 +149,31 @@ def cmd_morse(args) -> int:
         lines.append(f"critical points: {len(W)}; toda edges: {len(graph.edges)}")
         lines.extend("morse " + s for s in report.homology_lines(groups))
         if is_a:
-            coeffs = poincare_polynomial(args.rank)
-            obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
-            obj["betti1"] = betti_one(args.rank)
-            obj["betti_table"] = _betti_table(args.rank)
             pg = principal_graph(args.rank)
             obj["principal_components"] = [
                 {"seed": list(seed), "cube_dim": pg.seed_cube_dim(seed), "label": pg.seed_label(seed)}
                 for seed in pg.seeds
             ]
-            lines.append(f"principal-cell polynomial: {report.poly_str(coeffs)}")
-            lines.append(f"betti_1 = {obj['betti1']}")
         if args.toda_dot:
             _emit(report.toda_graph_dot(graph), args.toda_dot)
         if args.morse_dot:
             _emit(report.morse_graph_dot(W, edges), args.morse_dot)
+    if is_a:
+        # Closed forms: each selector adds its own; the full report adds all
+        # three but prints no betti-table lines.
+        if args.poincare or not selectors:
+            coeffs = poincare_polynomial(args.rank)
+            obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
+            lines.append(f"principal-cell polynomial: {report.poly_str(coeffs)}")
+        if args.betti1 or not selectors:
+            obj["betti1"] = betti_one(args.rank)
+            lines.append(f"betti_1 = {obj['betti1']}")
+        if args.conjecture or not selectors:
+            obj["betti_table"] = _betti_table(args.rank)
+            if selectors:
+                for row in obj["betti_table"]:
+                    tag = " (conjecture)" if row["conjecture"] else ""
+                    lines.append(f"betti_{row['k']} = {row['value']}{tag}")
     if args.output != "-":
         for line in lines:
             print(line)
@@ -217,7 +212,7 @@ def cmd_simulate(args) -> int:
     traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)
     evf = eigenvalues(traj.final_state())
     drift = traj.max_invariant_drift()
-    eig_drift = float(max(abs(evf - ev0))) if len(evf) == len(ev0) else float("nan")
+    eig_drift = float(max(abs(evf - ev0)))
     summary = {
         "schema_version": report.SCHEMA_VERSION,
         "n": state.n,

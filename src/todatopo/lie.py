@@ -249,9 +249,13 @@ class WeylGroup(Sequence):
                 # the smallest word of w * s_i for a right descent i.
                 words.append(min(words[row[i]] + (i + 1,) for i in down))
 
-        order = sorted(range(len(orbit)), key=lambda k: (lengths[k], words[k]))
+        # Free the orbit keys before the sort, and the unsorted table once it is
+        # rebuilt: kept alive, they would set the peak memory of a large group.
+        del found, orbit
+        order = sorted(range(len(words)), key=lambda k: (lengths[k], words[k]))
         pos = {k: n for n, k in enumerate(order)}
         self._right = tuple(tuple(pos[j] for j in right[k]) for k in order)
+        del right, pos
         self._descents = tuple(descents[k] for k in order)
         self.elements = tuple(
             WeylElement(self, words[k], lengths[k], n) for n, k in enumerate(order)

@@ -43,8 +43,7 @@ class CriticalPoint:
 
     @property
     def label(self) -> str:
-        l = self.element.group.rank
-        return "".join("*" if i in self.unstable else "0" for i in range(1, l + 1))
+        return label(self.element)
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,10 @@ def stable_set(a: WeylElement) -> frozenset:
     return frozenset(i + 1 for i in range(a.group.rank) if a.group._descents[a.position] >> i & 1)
 
 
-def critical_point(a: WeylElement) -> CriticalPoint:
-    return CriticalPoint(a, unstable_set(a), stable_set(a))
-
-
 def label(a: WeylElement) -> str:
-    return critical_point(a).label
+    """One character per simple root: '0' if stable (a right descent), '*' if unstable."""
+    sa = a.group._descents[a.position]
+    return "".join("0" if sa >> i & 1 else "*" for i in range(a.group.rank))
 
 
 def index(a: WeylElement) -> int:

@@ -52,9 +52,48 @@ class TestDiagram:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ColoredDynkinDiagram(2, ((1, 0),))
+            ColoredDynkinDiagram.from_map(2, {1: 0})
         with pytest.raises(ConfigError):
-            ColoredDynkinDiagram(2, ((3, 1),))
+            ColoredDynkinDiagram.from_map(2, {3: 1})
+
+    def test_mask_validation(self):
+        with pytest.raises(ConfigError):
+            ColoredDynkinDiagram(2, 0b100)
+        with pytest.raises(ConfigError):
+            ColoredDynkinDiagram(2, 0b01, 0b10)
+
+    def test_masks(self):
+        D = ColoredDynkinDiagram.from_map(3, {1: -1, 3: 1})
+        assert (D.rank, D.mask, D.red) == (3, 0b101, 0b001)
+        assert D == ColoredDynkinDiagram(3, 0b101, 0b001)
+        assert D.colors == ((1, -1), (3, 1))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_views_match_pair_transcription(self, l):
+        # Every diagram of rank l (3^l of them), checked against the same
+        # operations written on sorted (vertex, sign) pairs.
+        chars = {-1: "R", 1: "B"}
+        for states in product((0, 1, -1), repeat=l):
+            colors = tuple((v, s) for v, s in enumerate(states, 1) if s)
+            eta = dict(colors)
+            uncolored = tuple(v for v in range(1, l + 1) if v not in eta)
+            D = ColoredDynkinDiagram.from_map(l, eta)
+            assert D.colors == colors
+            assert D.S == frozenset(eta)
+            assert D.colored_vertices == tuple(eta)
+            assert D.uncolored == uncolored
+            assert D.color_string() == "".join(chars.get(eta.get(v), "o") for v in range(1, l + 1))
+            for v in range(1, l + 1):
+                if v in eta:
+                    assert D.eta(v) == eta[v]
+                else:
+                    with pytest.raises(KeyError):
+                        D.eta(v)
+            for j, v in enumerate(uncolored, 1):
+                for c in (1, 2):
+                    sign, face = diagram_boundary(D, j, c)
+                    assert sign == (-1) ** (j + c + 1)
+                    assert face.colors == tuple(sorted(colors + ((v, (-1) ** c),)))
 
 
 class TestDiagramAction:

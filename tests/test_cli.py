@@ -72,10 +72,15 @@ class TestCells:
 # Weyl group; the table-driven arithmetic must reproduce them byte for byte.
 # The simulate artifacts were written by the numpy-vector integrator with one
 # chevalley_invariants call per step; the Python-float steps and the blocked
-# invariants must reproduce them byte for byte too.
+# invariants must reproduce them byte for byte too.  The B3 JSON and the G2
+# artifacts were written with diagrams stored as sorted (vertex, sign) pairs;
+# the (S, Red) bit-mask diagrams must reproduce them byte for byte.
 PINNED_SHA256 = {
     "b3_cells.csv": "2cf53e86cd85a3d728ee6dbad0040478fab5c4d5e6d99e28115a17c027c8bb3b",
     "b3_boundaries.csv": "09da2866d7f41f92126f4091ce462e203522980b511c5faff91e57282b065149",
+    "b3_cells.json": "f2d9e1c8e0e982c5bced10674dedfef4fe1c946a19f1ac2532dbcd1c0510f781",
+    "g2_cells.csv": "d2c4428d3c46ab6a5a2cea59842c02a9302dcb0e4966ad013529d4fa263816e7",
+    "g2_boundaries.csv": "248dc1bc5443aed22af25696f631d782a938f7d9ed74d5143a1e33245c25c4a6",
     "a3_morse.json": "973002247ccd15212bf38007a433d14a5f6674f9945908b3c2e20f5f5aba7425",
     "a3_toda.dot": "806ec8b3e87f282ebac2e3b0d7f8bc424763596b9b2e8216a24e0589ac1b9ea6",
     "a3_morse.dot": "c8f952b79a87c9bfa8080f6fd42355da843b26919ccad4a7a328cda961d8e010",
@@ -100,6 +105,25 @@ class TestPinnedArtifacts:
         )
         assert code == 0
         self.check(tmp_path, ["b3_cells.csv", "b3_boundaries.csv"])
+
+    def test_cells_b3_json(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "cells", "--type", "B", "--rank", "3", "--format", "json",
+            "--output", str(tmp_path / "b3_cells.json"),
+        )
+        assert code == 0
+        self.check(tmp_path, ["b3_cells.json"])
+
+    def test_cells_g2(self, capsys, tmp_path):
+        # B3's off-diagonal -2 is even and G2's -3 is odd: these pin the
+        # odd-column orientation signs of a type that is not simply laced.
+        code, _, _ = run(
+            capsys, "cells", "--type", "G", "--rank", "2",
+            "--output", str(tmp_path / "g2_cells.csv"),
+            "--boundaries", str(tmp_path / "g2_boundaries.csv"),
+        )
+        assert code == 0
+        self.check(tmp_path, ["g2_cells.csv", "g2_boundaries.csv"])
 
     def test_morse_a3(self, capsys, tmp_path):
         code, _, _ = run(
