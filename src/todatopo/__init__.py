@@ -46,7 +46,6 @@ from .lie import (
 )
 from .matrices import IntMatrix
 from .morse import (
-    CriticalPoint,
     MorseEdge,
     PrincipalCell,
     PrincipalGraph,

@@ -20,7 +20,6 @@ from .errors import ConfigError, RankGateError, TodatopoError
 from .homology import homology_of
 from .lie import cartan_matrix, generate_weyl_group
 from .morse import (
-    SIGMA_INTERPRETATIONS,
     betti_one,
     _complex_from_edges,
     conjectured_betti,
@@ -123,14 +122,15 @@ def cmd_morse(args) -> int:
     if not selectors:
         _morse_gated(args)
         W = _build_group(args)
-        obj["sigma_interpretation"] = args.sigma
+        # The one incidence reading; the key keeps the JSON schema stable.
+        obj["sigma_interpretation"] = "value"
         obj["critical_points"] = [
             {"word": report.word_list(w), "label": label(w), "index": index(w)}
             for w in W.elements
         ]
         graph = toda_graph(W)
         obj["toda_graph"] = {"vertices": len(graph.vertices), "edges": len(graph.edges)}
-        edges = morse_smale_edges(W, args.sigma)
+        edges = morse_smale_edges(W)
         obj["morse_smale_edges"] = [
             {
                 "source": report.word_list(e.source),
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poincare", action="store_true", help="principal-cell polynomial only")
     p.add_argument("--betti1", action="store_true", help="first Betti number only")
     p.add_argument("--conjecture", action="store_true", help="Betti table only")
-    p.add_argument("--sigma", choices=SIGMA_INTERPRETATIONS, default="value")
     p.add_argument("--override-rank-gate", action="store_true")
     p.add_argument("--toda-dot", default=None, help="DOT path for the Toda graph")
     p.add_argument("--morse-dot", default=None, help="DOT path for the Morse-Smale graph")

@@ -78,11 +78,8 @@ def _validate_cartan(entries):
                     stack.append(j)
                 elif d[j] != want:
                     raise InvalidCartanMatrixError("matrix is not symmetrizable")
+    # Each edge was set or compared when its first end was popped, so sym is symmetric.
     sym = [[d[i] * entries[i][j] for j in range(l)] for i in range(l)]
-    for i in range(l):
-        for j in range(l):
-            if sym[i][j] != sym[j][i]:
-                raise InvalidCartanMatrixError("matrix is not symmetrizable")
     # Exact Gaussian elimination; all pivots positive iff positive definite.
     work = [row[:] for row in sym]
     for k in range(l):
@@ -211,11 +208,18 @@ class WeylGroup(Sequence):
     (length, word).  For positions w in that order, ``_right[w][i]`` is the
     position of w * s_(i+1), and bit i of ``_descents[w]`` is set when that
     product is shorter than w.
+
+    The enumeration cap ``max_order`` defaults to the integer in the
+    ``TODATOPO_MAX_WEYL_ORDER`` environment variable, else to 51840.
     """
 
     def __init__(self, cartan: CartanMatrix, max_order: int | None = None):
         if max_order is None:
-            max_order = DEFAULT_MAX_ORDER
+            env = os.environ.get(MAX_ORDER_ENV)
+            try:
+                max_order = int(env) if env else DEFAULT_MAX_ORDER
+            except ValueError:
+                raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
         self.cartan = cartan
         l = cartan.rank
         entries = cartan.entries
@@ -337,18 +341,8 @@ class WeylGroup(Sequence):
 
 
 def generate_weyl_group(cartan: CartanMatrix, max_order: int | None = None) -> WeylGroup:
-    """Enumerate the full Weyl group of ``cartan``.
-
-    The enumeration cap defaults to 51840 and may be overridden by the
-    ``TODATOPO_MAX_WEYL_ORDER`` environment variable or the argument.
-    """
-    if max_order is None:
-        env = os.environ.get(MAX_ORDER_ENV)
-        try:
-            max_order = int(env) if env else DEFAULT_MAX_ORDER
-        except ValueError:
-            raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
-    return WeylGroup(cartan, max_order=max_order)
+    """Enumerate the full Weyl group of ``cartan`` (cap as in :class:`WeylGroup`)."""
+    return WeylGroup(cartan, max_order)
 
 
 def length(w: WeylElement) -> int:

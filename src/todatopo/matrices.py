@@ -41,9 +41,6 @@ class IntMatrix:
             dense[r][c] = v
         return dense
 
-    def get(self, r, c):
-        return self.entries.get((r, c), 0)
-
     @property
     def nnz(self):
         return len(self.entries)

@@ -6,12 +6,10 @@ Critical points are Weyl elements; the stable roots of ``a`` are its right
 descents and the index counts the others.  The Morse-Smale scan is keyed by
 stable set, and one walk of a^-1 b tests a pair and gives its incidence.
 
-The sigma count in the incidence formula admits two readings of the
-sign-change criterion; the shipped default ("value": count coordinates
-that end at -1) reproduces the closed form for top-cell incidences and
-makes the rank-2 Morse homology match the cellular one.  The alternate
-reading ("flip": count coordinates that change sign) is kept behind the
-``interpretation`` switch.
+The incidence (1 + (-1)^sigma) * (+-1) counts in sigma the unstable
+coordinates of ``a`` whose transported sign ends at -1.  This reading
+gives the closed form on both top-cell families, and its Morse homology
+matches the cellular one for A1, A2 and A3.
 """
 
 from __future__ import annotations
@@ -26,24 +24,7 @@ from .lie import WeylElement, WeylGroup
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
 
-SIGMA_INTERPRETATIONS = ("value", "flip")
-
 MAX_PRINCIPAL_RANK = 20
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    element: WeylElement
-    unstable: frozenset
-    stable: frozenset
-
-    @property
-    def index(self) -> int:
-        return len(self.unstable)
-
-    @property
-    def label(self) -> str:
-        return label(self.element)
 
 
 @dataclass(frozen=True)
@@ -95,7 +76,7 @@ def _descend(W: WeylGroup, a: WeylElement, b: WeylElement, ua: int, sb: int) -> 
     return None if e else letters + more
 
 
-def _incidence(W: WeylGroup, a: WeylElement, b: WeylElement, flip: bool, odd) -> int | None:
+def _incidence(W: WeylGroup, a: WeylElement, b: WeylElement, odd) -> int | None:
     """Incidence of a -> b, b stable on a's stable roots plus one; None if not transversal."""
     full = (1 << W.rank) - 1
     sa = W._descents[a.position]
@@ -104,15 +85,9 @@ def _incidence(W: WeylGroup, a: WeylElement, b: WeylElement, flip: bool, odd) ->
     if letters is None:
         return None
     red = _act(letters, full, i, odd)[1]
-    if ((red ^ i if flip else red) & ~sa).bit_count() & 1:
+    if (red & ~sa).bit_count() & 1:
         return 0
     return 2 * (-1) ** (b.length + 1 + (sa & i - 1).bit_count())
-
-
-def _is_flip(interpretation: str) -> bool:
-    if interpretation not in SIGMA_INTERPRETATIONS:
-        raise ConfigError(f"unknown sigma interpretation {interpretation!r}")
-    return interpretation == "flip"
 
 
 def is_transversal(a: WeylElement, b: WeylElement) -> bool:
@@ -133,21 +108,21 @@ def is_transversal(a: WeylElement, b: WeylElement) -> bool:
     return _descend(W, a, b, ua, sb) is not None
 
 
-def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> int:
+def incidence(a: WeylElement, b: WeylElement) -> int:
     """Incidence number of a transversal connection with index drop one.
 
     Initial signs are -1 exactly on the single root i unstable for ``a``
-    and stable for ``b``; they are transported by a^-1 b and the parity
-    of the flagged unstable coordinates decides between 0 and +-2.  The
-    nonzero value is ``2 * (-1) ** (length(b) + p)`` where p is the
-    position of i within the zeros of ``b`` nested over those of ``a``
-    (p = 1 plus the number of a-stable roots below i).  For a = e this
-    agrees with the closed form 2 (-1)^(i+1) (1 - delta) on both
-    top-cell families; the position reading, rather than the absolute
-    root index, is what makes the boundary square to zero through rank 3
-    and keeps the two families sign-symmetric at every rank.
+    and stable for ``b``; they are transported by a^-1 b, and sigma counts
+    the unstable roots of ``a`` whose transported sign is -1.  The
+    incidence is 0 when sigma is odd, else ``2 * (-1) ** (length(b) + p)``
+    where p is the position of i within the zeros of ``b`` nested over
+    those of ``a`` (p = 1 plus the number of a-stable roots below i).
+    For a = e this agrees with the closed form 2 (-1)^(i+1) (1 - delta)
+    on both top-cell families; the position reading, rather than the
+    absolute root index, is what makes the boundary square to zero
+    through rank 3 and keeps the two families sign-symmetric at every
+    rank.
     """
-    flip = _is_flip(interpretation)
     W = a.group
     if W is not b.group:
         raise ConfigError("elements from different groups")
@@ -156,7 +131,7 @@ def incidence(a: WeylElement, b: WeylElement, interpretation: str = "value") -> 
     if (~W._descents[a.position] & W._descents[b.position]).bit_count() != 1:
         raise IncidenceError("incidence needs a single shared direction")
     # The first two transversality conditions now hold.
-    value = _incidence(W, a, b, flip, _odd_columns(W.cartan))
+    value = _incidence(W, a, b, _odd_columns(W.cartan))
     if value is None:
         raise IncidenceError("connection is not transversal")
     return value
@@ -168,10 +143,9 @@ def is_abelian_unstable(a: WeylElement) -> bool:
     return all(W._walk(0, (i, j)) == W._walk(0, (j, i)) for i in u for j in u)
 
 
-def morse_smale_edges(W: WeylGroup, interpretation: str = "value") -> tuple[MorseEdge, ...]:
+def morse_smale_edges(W: WeylGroup) -> tuple[MorseEdge, ...]:
     """All transversal index-drop-one connections with incidences, by falling source index, then
     position.  Conditions 1-2 make b stable on a's stable roots plus one, the only sets tried."""
-    flip = _is_flip(interpretation)
     odd = _odd_columns(W.cartan)
     by_stable: dict[int, list[WeylElement]] = {}
     for w in W.elements:
@@ -181,7 +155,7 @@ def morse_smale_edges(W: WeylGroup, interpretation: str = "value") -> tuple[Mors
         sa = W._descents[a.position]
         ups = (sa | 1 << i for i in range(W.rank) if not sa >> i & 1)
         for b in sorted((b for s in ups for b in by_stable.get(s, ())), key=lambda w: w.position):
-            if (value := _incidence(W, a, b, flip, odd)) is not None:
+            if (value := _incidence(W, a, b, odd)) is not None:
                 edges.append(MorseEdge(a, b, value))
     return tuple(edges)
 
@@ -199,9 +173,9 @@ def _complex_from_edges(W: WeylGroup, edges) -> ChainComplex:
     return ChainComplex(bases, tuple(matrices))
 
 
-def morse_complex(W: WeylGroup, interpretation: str = "value") -> ChainComplex:
+def morse_complex(W: WeylGroup) -> ChainComplex:
     """Morse chain complex over the critical points, graded by index."""
-    return _complex_from_edges(W, morse_smale_edges(W, interpretation))
+    return _complex_from_edges(W, morse_smale_edges(W))
 
 
 # -- principal cells of the A series ----------------------------------------
@@ -332,39 +306,19 @@ def betti_one(l: int) -> int:
     return closed
 
 
-def _count_exact_ascent_set(l: int, T: tuple) -> int:
-    """Elements of the rank-l A-series Weyl group whose unstable set is T.
+def _count_exact_ascent_set(l: int, T: int) -> int:
+    """Elements of the rank-l A-series Weyl group whose unstable set is the
+    mask T (bit p - 1 for root p).
 
     Permutations of l+1 letters with ascent set exactly T, by the
     descent-set recursion: f[j] counts the arrangements of the first
     letters whose last letter ranks j among them.  No group enumeration.
     """
     f = [1]
-    for p in range(1, l + 1):
+    for p in range(l):
         pre = [0, *accumulate(f)]
-        f = pre if p in T else [pre[-1] - s for s in pre]
+        f = pre if T >> p & 1 else [pre[-1] - s for s in pre]
     return sum(f)
-
-
-def _star_sets_with_blocks(l: int, k: int, total_stars: int):
-    """Subsets of 1..l with exactly k maximal blocks and the given size."""
-    out = []
-
-    def place(start, blocks_left, stars_left, acc):
-        if blocks_left == 0:
-            if stars_left == 0:
-                out.append(tuple(acc))
-            return
-        min_tail = (blocks_left - 1) * 2  # later blocks need a gap and a star
-        for begin in range(start, l + 1):
-            for size in range(1, stars_left - (blocks_left - 1) + 1):
-                end = begin + size - 1
-                if end > l or end + min_tail > l:
-                    break
-                place(end + 2, blocks_left - 1, stars_left - size, acc + list(range(begin, end + 1)))
-
-    place(1, k, total_stars, [])
-    return out
 
 
 def conjectured_betti(l: int, k: int) -> int:
@@ -375,8 +329,9 @@ def conjectured_betti(l: int, k: int) -> int:
         raise ConfigError("degree k must be >= 1")
     if 2 * k > l + 1:
         return 0
-    total = 0
-    for n in range(k, l - k + 2):
-        for T in _star_sets_with_blocks(l, k, n):
-            total += (-1) ** (n - k) * _count_exact_ascent_set(l, T)
-    return total
+    # T & ~(T << 1) keeps the first root of each maximal block of T.
+    return sum(
+        (-1) ** (T.bit_count() - k) * _count_exact_ascent_set(l, T)
+        for T in range(1 << l)
+        if (T & ~(T << 1)).bit_count() == k
+    )

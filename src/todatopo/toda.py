@@ -54,9 +54,6 @@ class TodaState:
     def n(self) -> int:
         return len(self.a) + 1
 
-    def signs(self) -> tuple:
-        return tuple(0 if x == 0 else (1 if x > 0 else -1) for x in self.b)
-
 
 def _lax_stack(a_rows, b_rows) -> np.ndarray:
     """Lax matrices of the (a, b) rows as an (N, n, n) stack."""

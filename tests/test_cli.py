@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from todatopo.cli import main
+from todatopo.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,6 +222,7 @@ class TestMorse:
         )
         assert code == 0
         obj = json.loads(out)
+        assert obj["sigma_interpretation"] == "value"
         assert obj["index_counts"] == [1, 4, 1]
         assert obj["toda_graph"] == {"vertices": 6, "edges": 6}
         assert obj["betti1"] == 3
@@ -248,6 +250,32 @@ class TestMorse:
         code, _, err = run(capsys, "morse", "--type", "B", "--rank", "2", "--betti1")
         assert code == 1
         assert "type A" in err
+
+    def test_sigma_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["morse", "--type", "A", "--rank", "3", "--sigma", "value"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sigma value" in capsys.readouterr().err
+
+
+class TestFlagInventory:
+    # Adding or removing an option is an explicit edit of this table.
+    COMMON = ["-h", "--help", "--type", "--rank", "--output"]
+    OPTIONS = {
+        "cells": [*COMMON, "--format", "--boundaries"],
+        "homology": COMMON,
+        "morse": [*COMMON, "--poincare", "--betti1", "--conjecture", "--override-rank-gate",
+                  "--toda-dot", "--morse-dot"],
+        "simulate": [*COMMON, "--signs", "--tmax", "--dt", "--threshold", "--a0", "--b0",
+                     "--trajectory"],
+    }
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+        got = {name: [s for a in p._actions for s in a.option_strings] for name, p in sub.choices.items()}
+        assert got == self.OPTIONS
 
 
 class TestSimulate:

@@ -55,6 +55,9 @@ class TestCartanMatrix:
             CartanMatrix.from_entries([[2, 1], [1, 2]])  # positive off-diagonal
         with pytest.raises(InvalidCartanMatrixError):
             CartanMatrix.from_entries([[2, -2], [-2, 2]])  # affine: not finite type
+        # d_1 = 1 gives d_2 = 1/2 and d_3 = 1; the edge 2-3 then needs d_2 = d_3
+        with pytest.raises(InvalidCartanMatrixError, match="not symmetrizable"):
+            CartanMatrix.from_entries([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
 
 
 def brute_force_order(C):
@@ -133,6 +136,14 @@ class TestGeneration:
         monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", value)
         with pytest.raises(ConfigError, match="TODATOPO_MAX_WEYL_ORDER"):
             generate_weyl_group(cartan_matrix("A", 2))
+
+    def test_env_cap_reaches_the_class(self, monkeypatch):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "17")
+        with pytest.raises(GroupOrderCapError, match="17"):
+            WeylGroup(cartan_matrix("A", 3))
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "abc")
+        with pytest.raises(ConfigError, match="TODATOPO_MAX_WEYL_ORDER"):
+            WeylGroup(cartan_matrix("A", 3))
 
     def test_duplicate_free_and_closed(self, W_A3):
         model = RootModel(W_A3)
