@@ -199,6 +199,8 @@ def cmd_simulate(args) -> int:
     a0 = _parse_floats(args.a0, l, "a0") if args.a0 else (0.0,) * l
     if args.b0:
         b0 = _parse_floats(args.b0, l, "b0")
+        if 0.0 in b0:
+            raise ConfigError("--b0 values must be nonzero: a zero b lies in no sign sector")
         got = tuple(1 if x > 0 else -1 for x in b0)
         if got != signs:
             raise ConfigError("b0 signs disagree with --signs")
@@ -207,6 +209,11 @@ def cmd_simulate(args) -> int:
     if math.isinf(args.threshold):
         # integrate(threshold=inf) would record states until a step overflows.
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
+    peak = max(map(abs, a0 + b0))
+    if peak > args.threshold > 0:  # integrate rejects a threshold that is not positive
+        raise ConfigError(
+            f"the initial point is already past the threshold: max |a0|, |b0| = {peak!r} > {args.threshold!r}"
+        )
     state = TodaState(a0, b0)
     ev0 = eigenvalues(state)
     traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)

@@ -11,13 +11,19 @@ blow-up.
 Integration is fixed-step classical Runge-Kutta with local step halving
 when the b's grow too fast, plus bisection refinement of the first
 threshold crossing when the trajectory escapes.  The steps run on tuples
-of Python floats; the Chevalley invariants of the recorded states are
-computed after the loop, on stacks of Lax matrices a block of rows at a
-time.  Everything is deterministic; there is no randomness anywhere.
+of Python floats, through one straight-line function per rank that is
+generated as source and compiled on first use: on 1-16 coordinates the
+calls and temporaries of a loop cost more than the arithmetic.  Each
+coordinate keeps the operation order of the numpy vector expressions, so
+every step gives the same floats as they do.  The Chevalley invariants of
+the recorded states are computed after the loop, on stacks of Lax
+matrices a block of rows at a time.  Everything is deterministic; there
+is no randomness anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,32 +79,54 @@ def assemble_matrix(state: TodaState) -> np.ndarray:
     return _lax_stack([state.a], [state.b])[0]
 
 
-# The step runs on tuples of Python floats: numpy's per-call cost dominates on
-# vectors of length 1-8.  Each coordinate takes the operations of the vector
-# expressions b * ((a_prev - 2.0 * a) + a_next), x + (0.5 * h) * k and
-# x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4) in that order, so the
-# floats are those of the numpy form.  tuple([...]) is faster than a generator.
-def _derivative(a: tuple, b: tuple):
-    padded = (0.0, *a, 0.0)
-    return b, tuple([y * ((p - 2.0 * x) + q) for p, x, q, y in zip(padded, a, padded[2:], b)])
+# The step is straight-line source generated for each rank and compiled on
+# first use.  On vectors of 1-16 floats the calls, comprehensions and tuples of
+# a loop over the coordinates cost several times the arithmetic itself; the
+# generated function unpacks a and b into locals, makes one assignment per
+# coordinate per stage and builds only the two tuples it returns.  Each
+# coordinate takes the operations of the vector expressions
+# b * ((a_prev - 2.0 * a) + a_next), with a literal 0.0 for the missing
+# neighbours at both ends, x + half * k with half = 0.5 * h (x + h * k for the
+# last stage) and x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4) with
+# sixth = h / 6.0, in that order, so the floats are those of the numpy form.
+# The a-slopes are b itself and then the stage inputs of b.
+@functools.cache
+def _rk4_kernel(n: int):
+    """RK4 step of the rank-n flow, (a, b, h) -> (a, b), compiled from generated source.
 
+    Stage s reads the inputs a{s}_i, b{s}_i and writes the b-slopes k{s}_i.
+    """
+    r = range(n)
 
-def _axpy(x: tuple, c: float, k: tuple) -> tuple:
-    return tuple([xi + c * ki for xi, ki in zip(x, k)])
+    def neighbour(s, i):
+        return f"a{s}_{i}" if 0 <= i < n else "0.0"
+
+    lines = [
+        "def rk4(a, b, h):",
+        "    " + "".join(f"a1_{i}, " for i in r) + "= a",
+        "    " + "".join(f"b1_{i}, " for i in r) + "= b",
+        "    half = 0.5 * h",
+    ]
+    for s in range(1, 5):
+        lines += [
+            f"    k{s}_{i} = b{s}_{i} * (({neighbour(s, i - 1)} - 2.0 * a{s}_{i}) + {neighbour(s, i + 1)})"
+            for i in r
+        ]
+        if s < 4:
+            c = "h" if s == 3 else "half"
+            lines += [f"    a{s + 1}_{i} = a1_{i} + {c} * b{s}_{i}" for i in r]
+            lines += [f"    b{s + 1}_{i} = b1_{i} + {c} * k{s}_{i}" for i in r]
+    lines.append("    sixth = h / 6.0")
+    na = "".join(f"a1_{i} + sixth * (((b1_{i} + 2.0 * b2_{i}) + 2.0 * b3_{i}) + b4_{i}), " for i in r)
+    nb = "".join(f"b1_{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i}), " for i in r)
+    lines.append(f"    return ({na}), ({nb})")
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", f"<todatopo.toda rk4 rank {n}>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 def _rk4(a: tuple, b: tuple, h: float):
-    half = 0.5 * h
-    k1a, k1b = _derivative(a, b)
-    k2a, k2b = _derivative(_axpy(a, half, k1a), _axpy(b, half, k1b))
-    k3a, k3b = _derivative(_axpy(a, half, k2a), _axpy(b, half, k2b))
-    k4a, k4b = _derivative(_axpy(a, h, k3a), _axpy(b, h, k3b))
-    sixth = h / 6.0
-    na = tuple([x + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                for x, p, q, r, s in zip(a, k1a, k2a, k3a, k4a)])
-    nb = tuple([x + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                for x, p, q, r, s in zip(b, k1b, k2b, k3b, k4b)])
-    return na, nb
+    return _rk4_kernel(len(a))(a, b, h)
 
 
 def _floats(xs) -> tuple:

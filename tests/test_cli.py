@@ -368,6 +368,32 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: threshold must be finite, got {float(value)}\n"
 
+    @pytest.mark.parametrize("b0", ["0,1", "1,-0.0"])
+    @pytest.mark.parametrize("signs", ["-+", "++"])
+    def test_zero_b0_rejected(self, capsys, signs, b0):
+        # A zero b lies in no sign sector, so it can agree with no --signs.
+        code, out, err = run(capsys, "simulate", "--rank", "2", f"--signs={signs}", "--b0", b0,
+                             "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --b0 values must be nonzero: a zero b lies in no sign sector\n"
+
+    @pytest.mark.parametrize("b0", ["1,1e308", "1,1e9"])
+    def test_start_past_threshold_rejected(self, capsys, b0):
+        # integrate would stop at t = 0; at 1e308 the invariants and the drift overflow.
+        code, out, err = run(capsys, "simulate", "--rank", "2", "--signs=++", "--b0", b0,
+                             "--tmax", "0.01", "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the initial point is already past the threshold")
+        assert err.count("\n") == 1
+
+    def test_start_at_threshold_accepted(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--rank", "1", "--signs=+", "--b0", "1e8",
+                           "--tmax", "0.001", "--output", "-")
+        assert code == 0
+        assert json.loads(out)["steps"] > 0
+
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",
                            "--b0", "-1.0")

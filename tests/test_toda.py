@@ -266,7 +266,7 @@ class TestAgainstNumpyReference:
         assert detect_blowup(traj) == blowup
         return traj, halved
 
-    @pytest.mark.parametrize("rank", range(1, 9))
+    @pytest.mark.parametrize("rank", [*range(1, 9), 12, 32])
     def test_bounded(self, rank):
         a = tuple(0.25 * (-1) ** i * (i + 1) / rank for i in range(rank))
         b = tuple(0.5 + 0.125 * i for i in range(rank))
@@ -298,13 +298,20 @@ class TestAgainstNumpyReference:
         traj, _ = self.check((0.1, -0.2, 0.3, -0.4), (1.0, -0.5, 0.75, 1.25), (rows - 1) * dt, dt)
         assert len(traj.times) == rows
 
+    @pytest.mark.parametrize("rank", [1, 3, 12])
     @pytest.mark.parametrize("dt", [1e-2, -1e-2])
-    def test_step(self, dt):
-        a, b = (0.3, -0.1, 0.2), (1.5, -0.5, 0.25)
+    def test_step(self, rank, dt):
+        a = tuple((0.3, -0.1, 0.2)[i % 3] + 0.01 * (i // 3) for i in range(rank))
+        b = tuple((1.5, -0.5, 0.25)[i % 3] - 0.01 * (i // 3) for i in range(rank))
         out = step(TodaState(a, b), dt)
         na, nb = _ref_rk4(np.array(a), np.array(b), dt)
         assert _bits(out.a) == _bits(na)
         assert _bits(out.b) == _bits(nb)
+
+    def test_kernel_compiled_once_per_rank(self):
+        kernel = toda._rk4_kernel(5)
+        assert toda._rk4_kernel(5) is kernel
+        assert kernel.__code__.co_filename == "<todatopo.toda rk4 rank 5>"
 
 
 class TestThreshold:
