@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--type", default="A", help="simple type letter A..G")
+        p.add_argument("--type", default="A", type=str.upper, help="simple type letter A..G")
         p.add_argument("--rank", type=int, required=True)
         p.add_argument(
             "--output",

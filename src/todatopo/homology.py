@@ -1,12 +1,16 @@
 """Exact integral homology via Smith normal form.
 
 All arithmetic is on Python ints, so intermediate entry growth cannot
-overflow.  ``smith_normal_form`` tracks the unimodular transforms and
-pivots on a smallest-magnitude nonzero entry, the standard growth
-mitigation.  ``invariant_factors`` (the homology path) eliminates
-sparsely, in rounds that pivot on entries equal to the gcd of what is
-left, and hands ``smith_normal_form`` only a residue in which no entry
-equals that gcd.
+overflow.  ``homology_of`` first shrinks the complex by Gaussian
+elimination on its unit entries, from the top degree down: each step
+removes a pair of cells joined by a +-1 entry and leaves a complex with
+the same homology.  What is left (the residues) goes to
+``invariant_factors``, which eliminates sparsely, in rounds that pivot
+on entries equal to the gcd of what is left, and hands
+``smith_normal_form`` only a residue in which no entry equals that gcd.
+One pivot loop, ``_pivot``, serves both.  ``smith_normal_form`` tracks
+the unimodular transforms and pivots on a smallest-magnitude nonzero
+entry, the standard growth mitigation.
 """
 
 from __future__ import annotations
@@ -178,73 +182,97 @@ def smith_normal_form(M) -> SmithDecomposition:
     )
 
 
-def _unit_strip(mat: IntMatrix):
-    """Strip gcd pivots sparsely; return (factors, residual dense matrix).
-
-    Each round takes g, the gcd of the live entries, and pivots on entries
-    equal to +-g.  Pivot rows are drawn from a lazy heap ordered by row
-    sparsity; within the row the pivot column with the fewest entries
-    wins.  Rows lacking such entries leave the heap and re-enter only when
-    touched again.  Since g divides every live entry, each update is exact
-    and leaves a multiple of g, so each pivot is the invariant factor g
-    and the factors form a divisibility chain.  The residue is densified
-    only once a round strips nothing.
-    """
+def _rows(entries, skip_cols=frozenset()) -> dict[int, dict[int, int]]:
+    """Row dicts of a sparse matrix, leaving out the columns in ``skip_cols``."""
     rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in entries.items():
+        if c not in skip_cols:
+            rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def _pivot(rows: dict[int, dict[int, int]], g: int) -> list[tuple[int, int]]:
+    """Pivot out the entries equal to +-g in place; return the (row, col) pivots.
+
+    Pivot rows are drawn from a lazy heap ordered by row sparsity; within
+    the row the pivot column with the fewest entries wins.  Each pivot
+    clears its column by row operations (the Schur complement on that
+    entry) and its row is dropped, since the row's other entries die by
+    column operations.  Rows lacking a +-g entry leave the heap and
+    re-enter only when touched again, so no +-g entry is left.  The caller
+    guarantees that g divides every entry, which makes each update exact.
+    """
     cols: dict[int, set[int]] = {}
-    for (r, c), v in mat.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    version = {r: 0 for r in rows}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    version = dict.fromkeys(rows, 0)
+    heap = [(len(row), r, 0) for r, row in rows.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        nnz, r, ver = heapq.heappop(heap)
+        if r not in rows or version[r] != ver:
+            continue
+        row = rows[r]
+        pivot_cols = [c for c, v in row.items() if v == g or v == -g]
+        if not pivot_cols:
+            continue  # re-enters via a version bump if ever touched again
+        c = min(pivot_cols, key=lambda cc: (len(cols[cc]), cc))
+        pv = row[c]
+        prow = dict(row)
+        # clear the pivot column with row operations
+        for r2 in sorted(cols[c]):
+            if r2 == r:
+                continue
+            row2 = rows[r2]
+            f = row2[c] // pv  # row2 -= f * prow, exact since g | row2[c]
+            for cc, vv in prow.items():
+                new = row2.get(cc, 0) - f * vv
+                if new:
+                    row2[cc] = new
+                    cols[cc].add(r2)
+                else:
+                    if cc in row2:
+                        del row2[cc]
+                        cols[cc].discard(r2)
+            version[r2] += 1
+            if row2:
+                heapq.heappush(heap, (len(row2), r2, version[r2]))
+            else:
+                del rows[r2]
+        # drop the pivot row; its remaining entries die by column operations
+        for cc in prow:
+            cols[cc].discard(r)
+            if not cols[cc]:
+                del cols[cc]
+        del rows[r]
+        pivots.append((r, c))
+    return pivots
+
+
+def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form.
+
+    Sparse rounds take g, the gcd of the live entries, and pivot out the
+    entries equal to +-g (``_pivot``).  Since g divides every live entry,
+    each update leaves a multiple of g, so each pivot is the invariant
+    factor g and the factors form a divisibility chain.  Only a residue
+    that a whole round leaves unchanged is densified: no entry of it
+    equals its gcd, and the factors ``smith_normal_form`` finds there
+    follow as multiples of it.
+    """
+    rows = _rows(mat.entries)
     factors = []
-    stripped = True
-    while rows and stripped:
+    while rows:
         g = 0
         for row in rows.values():
             for v in row.values():
                 g = math.gcd(g, v)
-        heap = [(len(row), r, version[r]) for r, row in rows.items()]
-        heapq.heapify(heap)
-        stripped = False
-        while heap:
-            nnz, r, ver = heapq.heappop(heap)
-            if r not in rows or version[r] != ver:
-                continue
-            row = rows[r]
-            pivot_cols = [c for c, v in row.items() if v == g or v == -g]
-            if not pivot_cols:
-                continue  # re-enters via a version bump if ever touched again
-            c = min(pivot_cols, key=lambda cc: (len(cols[cc]), cc))
-            pv = row[c]
-            prow = dict(row)
-            # clear the pivot column with row operations
-            for r2 in sorted(cols[c]):
-                if r2 == r:
-                    continue
-                row2 = rows[r2]
-                f = row2[c] // pv  # row2 -= f * prow, exact since g | row2[c]
-                for cc, vv in prow.items():
-                    new = row2.get(cc, 0) - f * vv
-                    if new:
-                        row2[cc] = new
-                        cols[cc].add(r2)
-                    else:
-                        if cc in row2:
-                            del row2[cc]
-                            cols[cc].discard(r2)
-                version[r2] += 1
-                if row2:
-                    heapq.heappush(heap, (len(row2), r2, version[r2]))
-                else:
-                    del rows[r2]
-            # drop the pivot row; its remaining entries die by column operations
-            for cc in prow:
-                cols[cc].discard(r)
-                if not cols[cc]:
-                    del cols[cc]
-            del rows[r]
-            factors.append(g)
-            stripped = True
+        pivots = _pivot(rows, g)
+        if not pivots:
+            break
+        factors.extend([g] * len(pivots))
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     col_pos = {c: k for k, c in enumerate(live_cols)}
@@ -252,17 +280,6 @@ def _unit_strip(mat: IntMatrix):
     for k, r in enumerate(live_rows):
         for c, v in rows[r].items():
             dense[k][col_pos[c]] = v
-    return factors, dense
-
-
-def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form.
-
-    Sparse gcd-pivot rounds (``_unit_strip``) give the leading factors in
-    divisibility order; ``smith_normal_form`` only sees a residue in which
-    no entry equals the gcd, and its factors follow as multiples of it.
-    """
-    factors, dense = _unit_strip(mat)
     factors.extend(d for d in smith_normal_form(dense).diagonal if d)
     return tuple(factors)
 
@@ -274,15 +291,44 @@ def matrix_rank(mat: IntMatrix) -> int:
 def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     """H_k = ker d_k / im d_(k+1) for each degree of a complex.
 
+    The complex is first shrunk by Gaussian elimination on its unit
+    entries.  If <d_k a, b> = +-1 for cells a of C_k and b of C_(k-1),
+    removing a and b leaves a complex with the same homology: d_k becomes
+    its Schur complement on that entry, row a leaves d_(k+1), column b
+    leaves d_(k-1), and nothing else changes (Bar-Natan, "Fast Khovanov
+    homology computations", Lemma 4.2).  Degrees run from the top down.
+    d_k is built without the cells of C_k already paired as pivot rows of
+    d_(k+1), and its +-1 entries are pivoted out; the cells of C_k it
+    pairs then leave the residue d'_(k+1), which goes to
+    ``invariant_factors``.  Each cell is paired at most once, and each
+    boundary shrinks before its turn.  With left_k the unpaired cells of
+    C_k, H_k = Z^(left_k - rank d'_k - rank d'_(k+1)) plus the factors
+    > 1 of d'_(k+1).
+
     The complex checked the square-zero identity when it was built.
     """
     top = cx.top_degree
-    factors = {k: invariant_factors(cx.boundary(k)) for k in range(1, top + 1)}
+    left = list(cx.ranks())
+    factors = {}
+    paired: set[int] = set()  # cells of C_k that are pivot rows of d_(k+1)
+    above: dict[int, dict[int, int]] = {}  # d'_(k+1), rows indexed by C_k
+    for k in range(top, -1, -1):
+        rows = _rows(cx.boundary(k).entries, paired)  # d_0 is empty
+        pivots = _pivot(rows, 1)
+        for _, a in pivots:
+            left[k] -= 1
+            left[k - 1] -= 1
+            above.pop(a, None)
+        if k < top:
+            d = cx.boundary(k + 1)
+            residue = {(r, c): v for r, row in above.items() for c, v in row.items()}
+            factors[k + 1] = invariant_factors(IntMatrix(d.rows, d.cols, residue))
+        paired = {b for b, _ in pivots}
+        above = rows
     groups = []
     for k in range(top + 1):
         rank_k = len(factors.get(k, ()))
         rank_k1 = len(factors.get(k + 1, ()))
-        free = cx.rank(k) - rank_k - rank_k1
         torsion = tuple(d for d in factors.get(k + 1, ()) if d > 1)
-        groups.append(HomologyGroup(free, torsion))
+        groups.append(HomologyGroup(left[k] - rank_k - rank_k1, torsion))
     return groups

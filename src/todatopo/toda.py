@@ -135,8 +135,8 @@ def _floats(xs) -> tuple:
 
 def step(state: TodaState, dt: float) -> TodaState:
     """One classical Runge-Kutta step; negative dt integrates backwards."""
-    if dt == 0:
-        raise ConfigError("dt must be nonzero")
+    if dt == 0 or not math.isfinite(dt):
+        raise ConfigError(f"dt must be nonzero and finite, got {dt}")
     na, nb = _rk4(_floats(state.a), _floats(state.b), dt)
     return TodaState(na, nb, state.t + dt)
 

@@ -278,6 +278,22 @@ class TestFlagInventory:
         assert got == self.OPTIONS
 
 
+class TestTypeLetterCase:
+    @pytest.mark.parametrize("argv", [
+        ["cells"],
+        ["cells", "--format", "json"],
+        ["homology"],
+        ["morse"],
+        ["simulate", "--signs", "+-", "--tmax", "0.5"],
+    ], ids=["cells", "cells-json", "homology", "morse", "simulate"])
+    def test_lower_case_type_same_bytes(self, capsys, argv):
+        tail = ["--rank", "2", "--output", "-"]
+        upper = run(capsys, *argv, "--type", "A", *tail)
+        lower = run(capsys, *argv, "--type", "a", *tail)
+        assert upper[0] == 0
+        assert lower == upper
+
+
 class TestSimulate:
     def test_definite_no_blowup(self, capsys):
         code, out, _ = run(capsys, "simulate", "--rank", "2", "--signs", "++",

@@ -203,3 +203,99 @@ class TestHomology:
     def test_matrix_rank(self):
         assert matrix_rank(IntMatrix.from_dense([[2, 0], [0, 0]])) == 1
         assert matrix_rank(IntMatrix(3, 3, {})) == 0
+
+
+def _per_degree_groups(cx):
+    """H_k from the Smith factors of every full boundary, with no reduction."""
+    factors = [()] + [invariant_factors(cx.boundary(k)) for k in range(1, cx.top_degree + 1)] + [()]
+    return [
+        HomologyGroup(cx.rank(k) - len(factors[k]) - len(factors[k + 1]),
+                      tuple(d for d in factors[k + 1] if d > 1))
+        for k in range(cx.top_degree + 1)
+    ]
+
+
+def _primary_parts(ds):
+    """Sorted prime-power parts of a list of cyclic orders."""
+    parts = []
+    for d in ds:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def _unimodular_pair(n, ops):
+    """P and P^-1 as products of elementary operations (add, swap, negate)."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for kind, i, j, q in ops:
+        i, j = i % n, j % n
+        if kind == "add" and i != j:  # P <- E P, P^-1 <- P^-1 E^-1
+            P[i] = [x + q * y for x, y in zip(P[i], P[j])]
+            for row in Pinv:
+                row[j] -= q * row[i]
+        elif kind == "swap":
+            P[i], P[j] = P[j], P[i]
+            for row in Pinv:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "negate":
+            P[i] = [-x for x in P[i]]
+            for row in Pinv:
+                row[i] = -row[i]
+    return P, Pinv
+
+
+class TestReduction:
+    @pytest.mark.parametrize(
+        "letter,rank",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+         ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)],
+    )
+    def test_matches_per_degree_route(self, letter, rank):
+        cx = build_chain_complex(generate_weyl_group(cartan_matrix(letter, rank)))
+        assert homology_of(cx) == _per_degree_groups(cx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_complexes_with_known_homology(self, data):
+        top = data.draw(st.integers(min_value=1, max_value=4))
+        free = data.draw(st.lists(st.integers(0, top), max_size=4))
+        arrows = data.draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, 6)), max_size=6))
+        # Z in degree k for each free entry; Z --m--> Z from degree k to k-1 for each arrow
+        sizes = [free.count(k) for k in range(top + 1)]
+        entries = [{} for _ in range(top + 1)]
+        for k, m in arrows:
+            entries[k][(sizes[k - 1], sizes[k])] = m
+            sizes[k - 1] += 1
+            sizes[k] += 1
+        op = st.tuples(st.sampled_from(["add", "swap", "negate"]),
+                       st.integers(0, 63), st.integers(0, 63), st.integers(-2, 2))
+        conj = [_unimodular_pair(n, data.draw(st.lists(op, max_size=3 * n))) for n in sizes]
+        for P, Pinv in conj:
+            assert mul(P, Pinv) == [[int(i == j) for j in range(len(P))] for i in range(len(P))]
+        boundaries = [IntMatrix(0, sizes[0], {})]
+        for k in range(1, top + 1):
+            d = IntMatrix(sizes[k - 1], sizes[k], entries[k]).to_dense()
+            if sizes[k - 1] and sizes[k]:
+                d = mul(mul(conj[k - 1][0], d), conj[k][1])  # P_(k-1) d_k P_k^-1
+            boundaries.append(IntMatrix.from_dense(d) if d else IntMatrix(sizes[k - 1], sizes[k], {}))
+        cx = ChainComplex(tuple(tuple(range(n)) for n in sizes), tuple(boundaries))
+        groups = homology_of(cx)
+        assert [g.free_rank for g in groups] == [free.count(k) for k in range(top + 1)]
+        for k, g in enumerate(groups):
+            assert _primary_parts(g.torsion) == _primary_parts(m for j, m in arrows if j == k + 1)
+
+    @pytest.mark.slow
+    def test_d5_groups(self):
+        cx = build_chain_complex(generate_weyl_group(cartan_matrix("D", 5)))
+        groups = homology_of(cx)
+        assert [g.free_rank for g in groups] == [1, 20, 219, 200, 0, 0]
+        assert [len(g.torsion) for g in groups] == [0, 137, 446, 156, 1, 0]
+        assert all(d == 2 for g in groups for d in g.torsion)

@@ -87,6 +87,11 @@ class TestStep:
         with pytest.raises(ConfigError):
             step(TodaState((0.0,), (1.0,)), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ConfigError, match="nonzero and finite"):
+            step(TodaState((0.0,), (1.0,)), dt)
+
 
 class TestIntegrateArguments:
     @pytest.mark.parametrize("t_max,dt", [
