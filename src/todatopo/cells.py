@@ -222,10 +222,16 @@ class ChainComplex:
         return sum((-1) ** k * len(b) for k, b in enumerate(self.bases))
 
     def validate(self) -> None:
-        """Check the square-zero identity exactly; raise if it fails."""
-        for k in range(1, self.top_degree + 1):
-            if k >= 2 and not self.boundaries[k - 1].matmul(self.boundaries[k]).is_zero():
-                raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
+        """Check the square-zero identity exactly; raise if it fails.
+
+        d_(k-1) applied to each column of d_k, one column at a time, must
+        vanish; no product matrix is formed.
+        """
+        for k in range(2, self.top_degree + 1):
+            lower = self.boundaries[k - 1]
+            for col in self.boundaries[k].columns:
+                if any(lower.apply(col).values()):
+                    raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
 
 
 def build_chain_complex(W: WeylGroup) -> ChainComplex:
@@ -243,11 +249,12 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
         {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i for i, cell in enumerate(basis)}
         for basis in bases
     ]
-    boundaries = [IntMatrix(0, len(bases[0]), {})]
+    boundaries = [IntMatrix(0, len(bases[0]))]
     for k in range(1, l + 1):
-        acc: dict[tuple[int, int], int] = {}
+        row_of = index[k - 1]
+        columns = []
         faces: dict[ColoredDynkinDiagram, list] = {}
-        for col, cell in enumerate(bases[k]):
+        for cell in bases[k]:
             D = cell.diagram
             if D not in faces:
                 faces[D] = [
@@ -255,11 +262,14 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
                     for j in range(1, len(D.uncolored) + 1)
                     for sgn, face in (diagram_boundary(D, j, 1), diagram_boundary(D, j, 2))
                 ]
+            column: dict[int, int] = {}
             for sgn, S, red in faces[D]:
                 rep, letters = W._coset_walk(cell.rep.position, S)
                 osgn, red = _act(letters, S, red, odd)
-                key = (index[k - 1][(S, red, rep)], col)
-                acc[key] = acc.get(key, 0) + sgn * osgn
-        entries = {key: v for key, v in acc.items() if v}
-        boundaries.append(IntMatrix(len(bases[k - 1]), len(bases[k]), entries))
+                r = row_of[(S, red, rep)]
+                column[r] = column.get(r, 0) + sgn * osgn
+            if 0 in column.values():
+                column = {r: v for r, v in column.items() if v}
+            columns.append(column)
+        boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
     return ChainComplex(bases, tuple(boundaries))

@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
+
+import numpy as np
 
 from . import report
 from .cells import build_chain_complex, cell_count_formula
@@ -41,9 +44,12 @@ def _emit(text: str, path: str | None) -> None:
         return
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _build_group(args):
@@ -182,10 +188,9 @@ def cmd_morse(args) -> int:
 
 
 def _betti_table(l: int) -> list:
-    table = []
-    for k in range(1, l + 1):
-        value = betti_one(l) if k == 1 else conjectured_betti(l, k)
-        table.append({"k": k, "value": value, "conjecture": k > 1})
+    table = [{"k": 1, "value": betti_one(l), "conjecture": False}]  # betti_one checks the rank
+    for k in range(2, l + 1):
+        table.append({"k": k, "value": conjectured_betti(l, k), "conjecture": True})
     return table
 
 
@@ -194,6 +199,8 @@ def cmd_simulate(args) -> int:
     if args.type != "A":
         raise ConfigError("the integrator implements the A-series matrix form only")
     l = args.rank
+    if l < 1:
+        raise ConfigError(f"rank must be at least 1, got {l}")
     if len(signs) != l:
         raise ConfigError(f"sign string length {len(signs)} does not match rank {l}")
     a0 = _parse_floats(args.a0, l, "a0") if args.a0 else (0.0,) * l
@@ -216,7 +223,17 @@ def cmd_simulate(args) -> int:
         )
     state = TodaState(a0, b0)
     ev0 = eigenvalues(state)
-    traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)
+    # Below a high threshold the powers of X can still overflow; such a run is
+    # rejected below, so numpy's overflow warnings are not printed for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(state, args.tmax, args.dt, threshold=args.threshold)
+    if _invariants_may_overflow(l, args.threshold) and not all(
+        map(math.isfinite, chain.from_iterable(traj.invariants))
+    ):
+        raise ConfigError(
+            f"the Chevalley invariants overflow below the threshold {args.threshold!r}; "
+            "lower --threshold"
+        )
     evf = eigenvalues(traj.final_state())
     drift = traj.max_invariant_drift()
     eig_drift = float(max(abs(evf - ev0)))
@@ -246,6 +263,18 @@ def cmd_simulate(args) -> int:
         _emit(report.trajectory_csv(traj), args.trajectory)
     _emit(report.dump_json(summary), args.output)
     return 0
+
+
+def _invariants_may_overflow(rank: int, threshold: float) -> bool:
+    """Whether the invariants of states within the threshold can leave the float range.
+
+    Every recorded state has |a_i|, |b_i| <= threshold, so each row of its Lax
+    matrix sums to at most 3 * threshold + 1 in absolute value, and with
+    n = rank + 1, |tr X^k| <= n * (3 * threshold + 1) ** k for k <= n; the
+    drift is at most twice that.  Below this bound no row needs scanning.
+    """
+    n = rank + 1
+    return n * math.log(3 * threshold + 1) + math.log(2 * n) >= math.log(sys.float_info.max)
 
 
 def _parse_floats(text: str, want: int, name: str) -> tuple:

@@ -182,11 +182,13 @@ def smith_normal_form(M) -> SmithDecomposition:
     )
 
 
-def _rows(entries, skip_cols=frozenset()) -> dict[int, dict[int, int]]:
-    """Row dicts of a sparse matrix, leaving out the columns in ``skip_cols``."""
+def _rows(mat: IntMatrix, skip_cols=frozenset()) -> dict[int, dict[int, int]]:
+    """Row dicts of a sparse matrix, leaving out the columns in ``skip_cols`` unread."""
     rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        if c not in skip_cols:
+    for c, col in enumerate(mat.columns):
+        if c in skip_cols:
+            continue
+        for r, v in col.items():
             rows.setdefault(r, {})[c] = v
     return rows
 
@@ -262,7 +264,7 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
     equals its gcd, and the factors ``smith_normal_form`` finds there
     follow as multiples of it.
     """
-    rows = _rows(mat.entries)
+    rows = _rows(mat)
     factors = []
     while rows:
         g = 0
@@ -313,7 +315,7 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     paired: set[int] = set()  # cells of C_k that are pivot rows of d_(k+1)
     above: dict[int, dict[int, int]] = {}  # d'_(k+1), rows indexed by C_k
     for k in range(top, -1, -1):
-        rows = _rows(cx.boundary(k).entries, paired)  # d_0 is empty
+        rows = _rows(cx.boundary(k), paired)  # d_0 is empty
         pivots = _pivot(rows, 1)
         for _, a in pivots:
             left[k] -= 1
@@ -321,8 +323,11 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
             above.pop(a, None)
         if k < top:
             d = cx.boundary(k + 1)
-            residue = {(r, c): v for r, row in above.items() for c, v in row.items()}
-            factors[k + 1] = invariant_factors(IntMatrix(d.rows, d.cols, residue))
+            residue: list[dict[int, int]] = [{} for _ in range(d.cols)]
+            for r, row in above.items():
+                for c, v in row.items():
+                    residue[c][r] = v
+            factors[k + 1] = invariant_factors(IntMatrix.from_columns(d.rows, residue))
         paired = {b for b, _ in pivots}
         above = rows
     groups = []

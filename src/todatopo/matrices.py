@@ -1,66 +1,103 @@
 """Small sparse integer matrix container.
 
-Entries are arbitrary-precision Python ints.  Only the handful of
+A matrix is stored by columns: one ``{row: value}`` dict per column, int
+keys, nonzero Python-int values.  A cell's boundary is one such column,
+so assembly appends columns as it builds them and the square-zero check
+and the reduction read them without regrouping.  Only the handful of
 operations the chain-complex machinery needs are provided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntMatrix:
     rows: int
     cols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> nonzero int
+    columns: tuple[dict[int, int], ...]  # columns[c] = {row: nonzero int}
 
-    def __post_init__(self):
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) outside a {self.rows}x{self.cols} matrix")
+    def __init__(self, rows: int, cols: int, entries=None):
+        """Validating constructor from a ``(row, col) -> value`` mapping."""
+        columns = tuple({} for _ in range(cols))
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
             if v == 0:
                 raise ValueError("stored entries must be nonzero")
+            columns[c][r] = v
+        self._set(rows, columns)
+
+    @classmethod
+    def from_columns(cls, rows: int, columns) -> "IntMatrix":
+        """Matrix whose column c is the dict ``columns[c]``; the dicts are kept, not copied."""
+        columns = tuple(columns)
+        used = set().union(*columns)
+        if used and not (0 <= min(used) and max(used) < rows):
+            raise ValueError(f"a column has a row outside 0..{rows - 1}")
+        if 0 in chain.from_iterable(map(dict.values, columns)):
+            raise ValueError("stored entries must be nonzero")
+        mat = object.__new__(cls)
+        mat._set(rows, columns)
+        return mat
+
+    def _set(self, rows, columns):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_dense(cls, dense):
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        entries = {}
+        columns = [{} for _ in range(cols)]
         for r, row in enumerate(dense):
             if len(row) != cols:
                 raise ValueError("ragged dense matrix")
             for c, v in enumerate(row):
                 if v:
-                    entries[(r, c)] = int(v)
-        return cls(rows, cols, entries)
+                    columns[c][r] = int(v)
+        return cls.from_columns(rows, columns)
+
+    @property
+    def entries(self):
+        """Read-only ``(row, col) -> value`` view, built on each access."""
+        return MappingProxyType(
+            {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
+        )
 
     def to_dense(self):
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                dense[r][c] = v
         return dense
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
+
+    def apply(self, column: dict[int, int]) -> dict[int, int]:
+        """This matrix times a sparse column vector; entries that cancel stay, as 0."""
+        mine = self.columns
+        acc: dict[int, int] = {}
+        for k, b in column.items():
+            for i, a in mine[k].items():
+                acc[i] = acc.get(i, 0) + a * b
+        return acc
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (i, c)
-                acc[key] = acc.get(key, 0) + a * b
-        return IntMatrix(self.rows, other.cols, {k: v for k, v in acc.items() if v})
+        out = [{i: v for i, v in self.apply(col).items() if v} for col in other.columns]
+        return IntMatrix.from_columns(self.rows, out)
 
     def triplets(self):
         """Sorted (row, col, value) list; the sparse interchange format."""
-        return sorted((r, c, v) for (r, c), v in self.entries.items())
+        return sorted((r, c, v) for c, col in enumerate(self.columns) for r, v in col.items())

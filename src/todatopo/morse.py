@@ -164,12 +164,12 @@ def _complex_from_edges(W: WeylGroup, edges) -> ChainComplex:
     """Morse chain complex graded by index, with the edges' nonzero incidences."""
     bases = tuple(tuple(w for w in W.elements if index(w) == k) for k in range(W.rank + 1))
     pos = {w: i for basis in bases for i, w in enumerate(basis)}
-    entries: list[dict] = [{} for _ in bases]
+    columns = [[{} for _ in basis] for basis in bases]
     for e in edges:
         if e.incidence:
-            entries[index(e.source)][(pos[e.target], pos[e.source])] = e.incidence
+            columns[index(e.source)][pos[e.source]][pos[e.target]] = e.incidence
     sizes = (0, *map(len, bases))
-    matrices = (IntMatrix(sizes[k], sizes[k + 1], entries[k]) for k in range(len(bases)))
+    matrices = (IntMatrix.from_columns(sizes[k], columns[k]) for k in range(len(bases)))
     return ChainComplex(bases, tuple(matrices))
 
 
@@ -251,12 +251,14 @@ class PrincipalGraph:
         src = self.cells_of_grade(k)
         dst = self.cells_of_grade(k - 1)
         pos = {c: i for i, c in enumerate(dst)}
-        entries = {}
-        for col, cell in enumerate(src):
+        columns = []
+        for cell in src:
+            column: dict[int, int] = {}
             for coeff, sub in self.boundary_coefficients(cell):
-                key = (pos[sub], col)
-                entries[key] = entries.get(key, 0) + coeff
-        return IntMatrix(len(dst), len(src), {k2: v for k2, v in entries.items() if v})
+                r = pos[sub]
+                column[r] = column.get(r, 0) + coeff
+            columns.append({r: v for r, v in column.items() if v})
+        return IntMatrix.from_columns(len(dst), columns)
 
 
 def principal_graph(l: int) -> PrincipalGraph:

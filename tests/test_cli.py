@@ -1,9 +1,11 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
+from todatopo import cli
 from todatopo.cli import build_parser, main
 
 
@@ -251,6 +253,14 @@ class TestMorse:
         assert code == 1
         assert "type A" in err
 
+    @pytest.mark.parametrize("selector", [(), ("--poincare",), ("--betti1",), ("--conjecture",)])
+    def test_rank_zero_rejected(self, capsys, selector):
+        code, out, err = run(capsys, "morse", "--type", "A", "--rank", "0", *selector,
+                             "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sigma_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["morse", "--type", "A", "--rank", "3", "--sigma", "value"])
@@ -410,8 +420,53 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["steps"] > 0
 
+    @pytest.mark.parametrize("rank,signs", [("0", ""), ("-1", "+")])
+    def test_rank_below_one_rejected(self, capsys, rank, signs):
+        code, out, err = run(capsys, "simulate", "--rank", rank, f"--signs={signs}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: rank must be at least 1, got {rank}\n"
+
+    @pytest.mark.parametrize("threshold", ["1e76", "1e100"])
+    def test_high_finite_threshold_accepted(self, capsys, threshold):
+        # 1e76 is below the rank-3 bound, so no row is scanned; at 1e100 every row is.
+        code, out, _ = run(capsys, "simulate", "--rank", "3", "--signs=-+-",
+                           "--threshold", threshold, "--output", "-")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["blowup_time"] is not None
+        assert all(math.isfinite(x) for x in obj["final_invariants"])
+        assert cli._invariants_may_overflow(3, float(threshold)) == (threshold == "1e100")
+
+    def test_overflowing_invariants_rejected(self, capsys, recwarn):
+        # The recorded states reach about 1e135, far below 1e300, yet tr X^3 and tr X^4 overflow.
+        code, out, err = run(capsys, "simulate", "--rank", "3", "--signs=-+-",
+                             "--threshold", "1e300", "--output", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: the Chevalley invariants overflow below the threshold 1e+300; lower --threshold\n"
+        assert not recwarn.list
+
     def test_b0_sign_consistency(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "1", "--signs", "+",
                            "--b0", "-1.0")
         assert code == 1
         assert "disagree" in err
+
+
+class TestUnwritablePath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("homology", "--output", "{bad}"),
+            ("cells", "--output", "{bad}"),
+            ("cells", "--output", "-", "--boundaries", "{bad}"),
+        ],
+        ids=["homology-output", "cells-output", "cells-boundaries"],
+    )
+    def test_reported_as_error(self, capsys, tmp_path, argv):
+        bad = str(tmp_path / "missing" / "out.txt")
+        code, _, err = run(capsys, argv[0], "--type", "A", "--rank", "2",
+                           *(a.format(bad=bad) for a in argv[1:]))
+        assert code == 1
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
