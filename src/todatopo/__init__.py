@@ -29,11 +29,9 @@ from .errors import (
 )
 from .homology import (
     HomologyGroup,
-    SmithDecomposition,
     homology_of,
     invariant_factors,
     matrix_rank,
-    smith_normal_form,
 )
 from .lie import (
     CartanMatrix,

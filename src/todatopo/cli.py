@@ -3,8 +3,10 @@
 Four subcommands: ``cells``, ``homology``, ``morse``, ``simulate``.
 Each prints a human summary to stdout and writes machine artifacts to
 the paths given by flags; ``--output -`` replaces the summary with the
-JSON artifact on stdout.  Identical configurations produce byte
-identical output.  Exit code 0 means every requested computation
+JSON artifact on stdout.  Every artifact path is checked before any
+computation, so a path that cannot be written leaves no artifact, on
+stdout or on disk.  Identical configurations produce byte identical
+output.  Exit code 0 means every requested computation
 finished and all internal consistency checks passed.
 """
 
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from itertools import chain
 
@@ -37,6 +41,33 @@ from .signs import parse_sign_string, sign_string
 from .toda import DEFAULT_THRESHOLD, TodaState, eigenvalues, integrate
 
 MORSE_RANK_GATE = 3
+# Every option that names an artifact path; main checks them all before any work.
+ARTIFACT_OPTIONS = ("output", "boundaries", "toda_dot", "morse_dot", "trajectory")
+
+
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path: str | None) -> None:
+    """Fail now if ``path`` cannot be opened for writing; leave no file behind.
+
+    A pipe is not probed: closing it would end its reader's input.
+    """
+    if path is None or path == "-":
+        return
+    try:
+        if stat.S_ISFIFO(os.stat(path).st_mode):
+            return
+        existed = True
+    except OSError:
+        existed = False
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -49,7 +80,7 @@ def _emit(text: str, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None
 
 
 def _build_group(args):
@@ -361,6 +392,8 @@ def main(argv=None) -> int:
     if signs is not None:
         args.signs = signs
     try:
+        for option in ARTIFACT_OPTIONS:
+            _check_writable(getattr(args, option, None))
         return args.func(args)
     except TodatopoError as exc:
         print(f"error: {exc}", file=sys.stderr)

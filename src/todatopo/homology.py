@@ -1,4 +1,4 @@
-"""Exact integral homology via Smith normal form.
+"""Exact integral homology via sparse Smith elimination.
 
 All arithmetic is on Python ints, so intermediate entry growth cannot
 overflow.  ``homology_of`` first shrinks the complex by Gaussian
@@ -6,11 +6,9 @@ elimination on its unit entries, from the top degree down: each step
 removes a pair of cells joined by a +-1 entry and leaves a complex with
 the same homology.  What is left (the residues) goes to
 ``invariant_factors``, which eliminates sparsely, in rounds that pivot
-on entries equal to the gcd of what is left, and hands
-``smith_normal_form`` only a residue in which no entry equals that gcd.
-One pivot loop, ``_pivot``, serves both.  ``smith_normal_form`` tracks
-the unimodular transforms and pivots on a smallest-magnitude nonzero
-entry, the standard growth mitigation.
+on entries equal to the gcd of what is left.  When no entry equals that
+gcd, unimodular row and column steps make one that does.  One pivot
+loop, ``_pivot``, serves both callers, and nothing is densified.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ class HomologyGroup:
         for i, d in enumerate(self.torsion):
             if d < 2:
                 raise ValueError("torsion invariant factors must be >= 2")
-            if i and self.torsion[i - 1] != 0 and d % self.torsion[i - 1] != 0:
+            if i and d % self.torsion[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
     def __str__(self):
@@ -45,141 +43,6 @@ class HomologyGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """M = U * Dg * V with U, V unimodular and Dg diagonal, d_1 | d_2 | ..."""
-
-    U: tuple[tuple[int, ...], ...]
-    Dg: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.Dg[i][i] for i in range(min(len(self.Dg), len(self.Dg[0]) if self.Dg else 0)))
-
-    def reconstruct(self) -> list[list[int]]:
-        U, D, V = self.U, self.Dg, self.V
-        m = len(U)
-        n = len(V)
-        mid = [[sum(U[i][k] * D[k][j] for k in range(len(D))) for j in range(n)] for i in range(m)]
-        return [[sum(mid[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(M) -> SmithDecomposition:
-    """Exact Smith decomposition of an integer matrix (possibly empty)."""
-    A = [list(int(x) for x in row) for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for row in A:
-        if len(row) != n:
-            raise ValueError("ragged input matrix")
-    U = _identity(m)
-    V = _identity(n)
-
-    def row_add(src, dst, q):  # row dst += q * row src
-        arow, srow = A[dst], A[src]
-        for j in range(n):
-            if srow[j]:
-                arow[j] += q * srow[j]
-        for r in range(m):
-            U[r][src] -= q * U[r][dst]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        for r in range(m):
-            U[r][i] = -U[r][i]
-
-    def col_add(src, dst, q):  # col dst += q * col src
-        for r in range(m):
-            if A[r][src]:
-                A[r][dst] += q * A[r][src]
-        vs, vd = V[src], V[dst]
-        for j in range(n):
-            vs[j] -= q * vd[j]
-
-    def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        V[i], V[j] = V[j], V[i]
-
-    t = 0
-    while t < m and t < n:
-        # smallest-magnitude nonzero pivot in the trailing block
-        pivot = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
-            if pivot and pivot[0] == 1:
-                break
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            # clear the pivot column
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        row_add(t, i, -q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_add(t, j, -q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            fixed = True
-            p = A[t][t]
-            for i in range(t + 1, m):
-                row = A[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        row_add(i, t, 1)
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
-                break
-        if A[t][t] < 0:
-            row_negate(t)
-        t += 1
-    return SmithDecomposition(
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in A),
-        tuple(tuple(r) for r in V),
-    )
 
 
 def _rows(mat: IntMatrix, skip_cols=frozenset()) -> dict[int, dict[int, int]]:
@@ -253,16 +116,59 @@ def _pivot(rows: dict[int, dict[int, int]], g: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form.
+def _unstall(rows: dict[int, dict[int, int]], g: int) -> None:
+    """Make some entry equal +-g, the gcd of all entries, by unimodular steps.
 
-    Sparse rounds take g, the gcd of the live entries, and pivot out the
+    Each pass takes a smallest entry p at (r, c) and leaves a nonzero
+    entry smaller than p, a remainder mod p: a row step makes it in column
+    c, or else a column step makes it in row r.  When neither line holds a
+    non-multiple of p, row r first gains a row that does, cleared in column
+    c so that p stays; one exists while p > g.  Every entry stays a multiple
+    of g, so the passes end with an entry equal to +-g.
+    """
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        row = rows[dst]
+        for cc, v in rows[src].items():
+            new = row.get(cc, 0) + q * v
+            if new:
+                row[cc] = new
+            else:
+                row.pop(cc, None)
+
+    while True:
+        p, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        if p == g:
+            return
+        pv = rows[r][c]
+        r2 = next((r2 for r2, row in rows.items() if row.get(c, 0) % pv), None)
+        if r2 is not None:
+            add_row(r2, r, -(rows[r2][c] // pv))
+            continue
+        if not any(v % pv for v in rows[r].values()):
+            r2 = next(r2 for r2, row in rows.items() if any(v % pv for v in row.values()))
+            add_row(r2, r, -(rows[r2].get(c, 0) // pv))
+            add_row(r, r2, 1)
+        c2 = next(c2 for c2, v in rows[r].items() if v % pv)
+        q = rows[r][c2] // pv  # column c2 -= q * column c
+        for row in rows.values():
+            if c in row:
+                new = row.get(c2, 0) - q * row[c]
+                if new:
+                    row[c2] = new
+                else:
+                    row.pop(c2, None)
+
+
+def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form, by sparse elimination only.
+
+    Each round takes g, the gcd of the live entries, and pivots out the
     entries equal to +-g (``_pivot``).  Since g divides every live entry,
     each update leaves a multiple of g, so each pivot is the invariant
-    factor g and the factors form a divisibility chain.  Only a residue
-    that a whole round leaves unchanged is densified: no entry of it
-    equals its gcd, and the factors ``smith_normal_form`` finds there
-    follow as multiples of it.
+    factor g and the factors form a divisibility chain.  A round that
+    finds no entry equal to +-g first makes one (``_unstall``); unimodular
+    steps keep g the gcd.
     """
     rows = _rows(mat)
     factors = []
@@ -273,16 +179,9 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
                 g = math.gcd(g, v)
         pivots = _pivot(rows, g)
         if not pivots:
-            break
+            _unstall(rows, g)
+            pivots = _pivot(rows, g)
         factors.extend([g] * len(pivots))
-    live_rows = sorted(rows)
-    live_cols = sorted({c for row in rows.values() for c in row})
-    col_pos = {c: k for k, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for k, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[k][col_pos[c]] = v
-    factors.extend(d for d in smith_normal_form(dense).diagonal if d)
     return tuple(factors)
 
 

@@ -2,6 +2,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -461,12 +465,54 @@ class TestUnwritablePath:
             ("homology", "--output", "{bad}"),
             ("cells", "--output", "{bad}"),
             ("cells", "--output", "-", "--boundaries", "{bad}"),
+            ("morse", "--toda-dot", "{ok}", "--morse-dot", "{bad}", "--output", "-"),
+            ("simulate", "--signs", "+-", "--tmax", "0.1", "--trajectory", "{bad}", "--output", "-"),
+            ("simulate", "--signs", "+-", "--tmax", "0.1", "--trajectory", "{ok}", "--output", "{bad}"),
         ],
-        ids=["homology-output", "cells-output", "cells-boundaries"],
+        ids=["homology-output", "cells-output", "cells-boundaries",
+             "morse-dot", "simulate-trajectory", "simulate-output"],
     )
     def test_reported_as_error(self, capsys, tmp_path, argv):
         bad = str(tmp_path / "missing" / "out.txt")
-        code, _, err = run(capsys, argv[0], "--type", "A", "--rank", "2",
-                           *(a.format(bad=bad) for a in argv[1:]))
+        ok = tmp_path / "ok.txt"
+        code, out, err = run(capsys, argv[0], "--type", "A", "--rank", "2",
+                             *(a.format(bad=bad, ok=ok) for a in argv[1:]))
         assert code == 1
         assert err == f"error: cannot write {bad}: No such file or directory\n"
+        # The bad path fails before any computation: no artifact anywhere.
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_kept_on_failure(self, capsys, tmp_path):
+        ok = tmp_path / "ok.dot"
+        ok.write_text("earlier\n")
+        bad = str(tmp_path / "missing" / "m.dot")
+        code, out, _ = run(capsys, "morse", "--type", "A", "--rank", "2",
+                           "--toda-dot", str(ok), "--morse-dot", bad)
+        assert (code, out) == (1, "")
+        assert ok.read_text() == "earlier\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_not_probed(self, capsys, tmp_path):
+        # Probing a pipe by opening and closing it would hand its reader an
+        # early end of input, and the real write would then find no reader.
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdout.write(open(sys.argv[1]).read())", str(fifo)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        code = []
+        writer = threading.Thread(
+            target=lambda: code.append(main(["homology", "--rank", "2", "--output", str(fifo)])),
+            daemon=True,
+        )
+        writer.start()
+        text, _ = reader.communicate(timeout=60)
+        writer.join(timeout=10)
+        if writer.is_alive():  # blocked opening a pipe with no reader: give it one
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        capsys.readouterr()
+        assert code == [0]
+        assert json.loads(text)["groups"][1]["torsion"] == [2]

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,13 +15,8 @@ from todatopo import (
     homology_of,
     invariant_factors,
     matrix_rank,
-    smith_normal_form,
 )
 from todatopo.cells import ChainComplex
-
-
-def mat(rows):
-    return [list(r) for r in rows]
 
 
 def mul(A, B):
@@ -52,22 +50,45 @@ def det(M):
     return out
 
 
+def minor_factors(M):
+    """Invariant factors from their definition: d_1 ... d_k = gcd of the k x k minors.
+
+    Rational determinants only, so this shares no code with any elimination.
+    """
+    m, n = len(M), len(M[0]) if M else 0
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                g = math.gcd(g, int(det([[M[i][j] for j in cols] for i in rows])))
+        if not g:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors)
+
+
+def factors(M):
+    return invariant_factors(IntMatrix.from_dense(M))
+
+
 class TestSmith:
     def test_diag_2_3(self):
-        snf = smith_normal_form([[2, 0], [0, 3]])
-        assert snf.diagonal == (1, 6)
+        # Stalls at g = 1: row 0 gains row 1, then a column step makes the 1.
+        assert factors([[2, 0], [0, 3]]) == (1, 6)
+
+    def test_diag_4_6(self):
+        assert factors([[4, 0], [0, 6]]) == (2, 12)  # stalls at g = 2
 
     def test_zero_matrix(self):
-        snf = smith_normal_form([[0, 0], [0, 0]])
-        assert snf.diagonal == (0, 0)
+        assert factors([[0, 0], [0, 0]]) == ()
 
     def test_identity(self):
-        snf = smith_normal_form([[1, 0], [0, 1]])
-        assert snf.diagonal == (1, 1)
+        assert factors([[1, 0], [0, 1]]) == (1, 1)
 
     def test_empty(self):
-        snf = smith_normal_form([])
-        assert snf.diagonal == ()
+        assert factors([]) == ()
 
     @pytest.mark.parametrize(
         "M",
@@ -78,18 +99,19 @@ class TestSmith:
             [[0, 1], [-1, 0]],
             [[2, 0], [0, 4]],  # two gcd rounds: factors 2, 4
             [[2, 4], [4, 2]],  # the 2-pivot leaves -6: factors 2, 6
-            [[2, 3], [3, 2]],  # no entry equals the gcd 1: dense residue, factors 1, 5
+            # No entry equals the gcd, so the round stalls until a step makes one.
+            [[2, 3], [3, 2]],  # factors 1, 5
+            [[2, 3]],  # a column step
+            [[2], [3]],  # a row step
+            [[-5, 0], [0, 4]],
+            [[6, 10, 15]],
         ],
     )
     def test_decomposition_exact(self, M):
-        snf = smith_normal_form(M)
-        assert snf.reconstruct() == mat(M)
-        assert det(snf.U) in (1, -1)
-        assert det(snf.V) in (1, -1)
-        d = [x for x in snf.diagonal if x]
+        d = factors(M)
+        assert d == minor_factors(M)
         for a, b in zip(d, d[1:]):
             assert b % a == 0
-        assert invariant_factors(IntMatrix.from_dense(M)) == tuple(abs(x) for x in d)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,15 +124,22 @@ class TestSmith:
             [data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(n)]
             for _ in range(m)
         ]
-        snf = smith_normal_form(M)
-        assert snf.reconstruct() == M
-        assert det(snf.U) in (1, -1)
-        assert det(snf.V) in (1, -1)
-        d = [abs(x) for x in snf.diagonal if x]
-        for a, b in zip(d, d[1:]):
-            assert b % a == 0
-        # fast path agrees with the tracked path
-        assert tuple(d) == invariant_factors(IntMatrix.from_dense(M))
+        assert factors(M) == minor_factors(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([2, 3, 6]),
+        st.data(),
+    )
+    def test_random_multiples(self, m, n, s, data):
+        # All entries multiples of s: rounds stall at a gcd above 1.
+        M = [
+            [s * data.draw(st.integers(min_value=-7, max_value=7)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        assert factors(M) == minor_factors(M)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -123,7 +152,7 @@ class TestSmith:
         rows = data.draw(st.permutations(range(m)))
         cols = data.draw(st.permutations(range(n)))
         P = [[M[r][c] for c in cols] for r in rows]
-        assert smith_normal_form(M).diagonal == smith_normal_form(P).diagonal
+        assert factors(M) == factors(P)
 
 
 class TestHomology:
