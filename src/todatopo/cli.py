@@ -179,10 +179,7 @@ def cmd_morse(args) -> int:
         cx = _complex_from_edges(W, edges)
         obj["index_counts"] = list(cx.ranks())
         groups = homology_of(cx)
-        obj["morse_homology"] = [
-            {"degree": k, "free_rank": g.free_rank, "torsion": list(g.torsion)}
-            for k, g in enumerate(groups)
-        ]
+        obj["morse_homology"] = report.homology_rows(groups)
         lines.append(f"critical points: {len(W)}; toda edges: {len(graph.edges)}")
         lines.extend("morse " + s for s in report.homology_lines(groups))
         if is_a:

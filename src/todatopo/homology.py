@@ -8,7 +8,10 @@ the same homology.  What is left (the residues) goes to
 ``invariant_factors``, which eliminates sparsely, in rounds that pivot
 on entries equal to the gcd of what is left.  When no entry equals that
 gcd, unimodular row and column steps make one that does.  One pivot
-loop, ``_pivot``, serves both callers, and nothing is densified.
+loop, ``_pivot``, serves both callers, and nothing is densified.  Each
+matrix is regrouped once, by ``_rows``, into row dicts and a column
+index that the pivot and stall steps keep; a residue goes over as its
+transpose, whose columns are the row dicts already held.
 """
 
 from __future__ import annotations
@@ -45,54 +48,51 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _rows(mat: IntMatrix, skip_cols=frozenset()) -> dict[int, dict[int, int]]:
-    """Row dicts of a sparse matrix, leaving out the columns in ``skip_cols`` unread."""
+def _rows(mat: IntMatrix, skip_cols=frozenset()):
+    """Row dicts and column -> row-set index of a matrix, in one pass; ``skip_cols`` unread."""
     rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
     for c, col in enumerate(mat.columns):
         if c in skip_cols:
             continue
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    return rows
+        cols[c] = set(col)
+    return rows, cols
 
 
-def _pivot(rows: dict[int, dict[int, int]], g: int) -> list[tuple[int, int]]:
+def _pivot(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], g: int) -> list:
     """Pivot out the entries equal to +-g in place; return the (row, col) pivots.
 
-    Pivot rows are drawn from a lazy heap ordered by row sparsity; within
-    the row the pivot column with the fewest entries wins.  Each pivot
-    clears its column by row operations (the Schur complement on that
-    entry) and its row is dropped, since the row's other entries die by
-    column operations.  Rows lacking a +-g entry leave the heap and
-    re-enter only when touched again, so no +-g entry is left.  The caller
-    guarantees that g divides every entry, which makes each update exact.
+    Pivot rows come from a lazy heap of (nnz, row) entries, stale once the
+    row's length differs, and a touched row is pushed again.  Within the
+    row the pivot column with the fewest entries in the index ``cols``
+    wins.  Each pivot clears its column by row operations (the Schur
+    complement on that entry) and its row is dropped, since the row's
+    other entries die by column operations.  A row lacking a +-g entry
+    re-enters only when touched, so no +-g entry is left.  The caller
+    guarantees that g divides every entry, so each update is exact.
     """
-    cols: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-    version = dict.fromkeys(rows, 0)
-    heap = [(len(row), r, 0) for r, row in rows.items()]
+    heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
     pivots = []
     while heap:
-        nnz, r, ver = heapq.heappop(heap)
-        if r not in rows or version[r] != ver:
-            continue
+        nnz, r = heapq.heappop(heap)
+        if len(rows.get(r, ())) != nnz:
+            continue  # stale: the row has changed or gone since this entry
         row = rows[r]
         pivot_cols = [c for c, v in row.items() if v == g or v == -g]
         if not pivot_cols:
-            continue  # re-enters via a version bump if ever touched again
+            continue  # pushed again if ever touched
         c = min(pivot_cols, key=lambda cc: (len(cols[cc]), cc))
         pv = row[c]
-        prow = dict(row)
-        # clear the pivot column with row operations
+        # clear the pivot column with row operations; the pivot row is not touched
         for r2 in sorted(cols[c]):
             if r2 == r:
                 continue
             row2 = rows[r2]
-            f = row2[c] // pv  # row2 -= f * prow, exact since g | row2[c]
-            for cc, vv in prow.items():
+            f = row2[c] // pv  # row2 -= f * row, exact since g | row2[c]
+            for cc, vv in row.items():
                 new = row2.get(cc, 0) - f * vv
                 if new:
                     row2[cc] = new
@@ -101,13 +101,12 @@ def _pivot(rows: dict[int, dict[int, int]], g: int) -> list[tuple[int, int]]:
                     if cc in row2:
                         del row2[cc]
                         cols[cc].discard(r2)
-            version[r2] += 1
             if row2:
-                heapq.heappush(heap, (len(row2), r2, version[r2]))
+                heapq.heappush(heap, (len(row2), r2))
             else:
                 del rows[r2]
         # drop the pivot row; its remaining entries die by column operations
-        for cc in prow:
+        for cc in row:
             cols[cc].discard(r)
             if not cols[cc]:
                 del cols[cc]
@@ -116,7 +115,7 @@ def _pivot(rows: dict[int, dict[int, int]], g: int) -> list[tuple[int, int]]:
     return pivots
 
 
-def _unstall(rows: dict[int, dict[int, int]], g: int) -> None:
+def _unstall(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], g: int) -> None:
     """Make some entry equal +-g, the gcd of all entries, by unimodular steps.
 
     Each pass takes a smallest entry p at (r, c) and leaves a nonzero
@@ -124,17 +123,21 @@ def _unstall(rows: dict[int, dict[int, int]], g: int) -> None:
     c, or else a column step makes it in row r.  When neither line holds a
     non-multiple of p, row r first gains a row that does, cleared in column
     c so that p stays; one exists while p > g.  Every entry stays a multiple
-    of g, so the passes end with an entry equal to +-g.
+    of g, so the passes end with an entry equal to +-g.  Every step keeps
+    the index ``cols`` current; a column step walks the rows in ``cols[c]``.
     """
 
+    def put(r, c, v):  # entry (r, c) = v, keeping the index
+        if v:
+            rows[r][c] = v
+            cols[c].add(r)
+        else:
+            rows[r].pop(c, None)
+            cols[c].discard(r)
+
     def add_row(dst, src, q):  # row dst += q * row src
-        row = rows[dst]
         for cc, v in rows[src].items():
-            new = row.get(cc, 0) + q * v
-            if new:
-                row[cc] = new
-            else:
-                row.pop(cc, None)
+            put(dst, cc, rows[dst].get(cc, 0) + q * v)
 
     while True:
         p, r, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
@@ -151,13 +154,8 @@ def _unstall(rows: dict[int, dict[int, int]], g: int) -> None:
             add_row(r, r2, 1)
         c2 = next(c2 for c2, v in rows[r].items() if v % pv)
         q = rows[r][c2] // pv  # column c2 -= q * column c
-        for row in rows.values():
-            if c in row:
-                new = row.get(c2, 0) - q * row[c]
-                if new:
-                    row[c2] = new
-                else:
-                    row.pop(c2, None)
+        for r2 in cols[c]:
+            put(r2, c2, rows[r2].get(c2, 0) - q * rows[r2][c])
 
 
 def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
@@ -170,17 +168,17 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
     finds no entry equal to +-g first makes one (``_unstall``); unimodular
     steps keep g the gcd.
     """
-    rows = _rows(mat)
+    rows, cols = _rows(mat)
     factors = []
     while rows:
         g = 0
         for row in rows.values():
             for v in row.values():
                 g = math.gcd(g, v)
-        pivots = _pivot(rows, g)
+        pivots = _pivot(rows, cols, g)
         if not pivots:
-            _unstall(rows, g)
-            pivots = _pivot(rows, g)
+            _unstall(rows, cols, g)
+            pivots = _pivot(rows, cols, g)
         factors.extend([g] * len(pivots))
     return tuple(factors)
 
@@ -201,10 +199,11 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     d_k is built without the cells of C_k already paired as pivot rows of
     d_(k+1), and its +-1 entries are pivoted out; the cells of C_k it
     pairs then leave the residue d'_(k+1), which goes to
-    ``invariant_factors``.  Each cell is paired at most once, and each
-    boundary shrinks before its turn.  With left_k the unpaired cells of
-    C_k, H_k = Z^(left_k - rank d'_k - rank d'_(k+1)) plus the factors
-    > 1 of d'_(k+1).
+    ``invariant_factors`` as its transpose: the row dicts left by the
+    pivots become its columns, uncopied.  Each cell is paired at most
+    once, and each boundary shrinks before its turn.  With left_k the
+    unpaired cells of C_k, H_k = Z^(left_k - rank d'_k - rank d'_(k+1))
+    plus the factors > 1 of d'_(k+1).
 
     The complex checked the square-zero identity when it was built.
     """
@@ -214,19 +213,15 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     paired: set[int] = set()  # cells of C_k that are pivot rows of d_(k+1)
     above: dict[int, dict[int, int]] = {}  # d'_(k+1), rows indexed by C_k
     for k in range(top, -1, -1):
-        rows = _rows(cx.boundary(k), paired)  # d_0 is empty
-        pivots = _pivot(rows, 1)
+        rows, cols = _rows(cx.boundary(k), paired)  # d_0 is empty
+        pivots = _pivot(rows, cols, 1)
         for _, a in pivots:
             left[k] -= 1
             left[k - 1] -= 1
             above.pop(a, None)
-        if k < top:
-            d = cx.boundary(k + 1)
-            residue: list[dict[int, int]] = [{} for _ in range(d.cols)]
-            for r, row in above.items():
-                for c, v in row.items():
-                    residue[c][r] = v
-            factors[k + 1] = invariant_factors(IntMatrix.from_columns(d.rows, residue))
+        if k < top:  # d'_(k+1) transposed: its row dicts are the columns
+            residue_t = [above.get(r, {}) for r in range(cx.rank(k))]
+            factors[k + 1] = invariant_factors(IntMatrix.from_columns(cx.rank(k + 1), residue_t))
         paired = {b for b, _ in pivots}
         above = rows
     groups = []

@@ -24,7 +24,8 @@ from .lie import WeylElement, WeylGroup
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
 
-MAX_PRINCIPAL_RANK = 20
+MAX_PRINCIPAL_RANK = 20  # closed forms
+MAX_PRINCIPAL_GRAPH_RANK = 12  # principal_graph stores about 0.75 * 3^l faces
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,8 @@ class PrincipalGraph:
 def principal_graph(l: int) -> PrincipalGraph:
     """The l(l+1)/2 hypercube components of principal cells for rank l."""
     _check_principal_rank(l)
+    if l > MAX_PRINCIPAL_GRAPH_RANK:
+        raise ConfigError(f"principal graph capped at rank {MAX_PRINCIPAL_GRAPH_RANK}")
     seeds = tuple((i, j) for i in range(l) for j in range(l - i))
     cells = []
     for seed in seeds:

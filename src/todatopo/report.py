@@ -86,15 +86,19 @@ def boundaries_csv(cx: ChainComplex) -> str:
 # -- homology ----------------------------------------------------------------
 
 
+def homology_rows(groups) -> list:
+    return [
+        {"degree": k, "free_rank": g.free_rank, "torsion": list(g.torsion)}
+        for k, g in enumerate(groups)
+    ]
+
+
 def homology_json_obj(type_label: str, rank: int, groups) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": type_label,
         "rank": rank,
-        "groups": [
-            {"degree": k, "free_rank": g.free_rank, "torsion": list(g.torsion)}
-            for k, g in enumerate(groups)
-        ],
+        "groups": homology_rows(groups),
     }
 
 

@@ -125,6 +125,7 @@ class TestSmith:
             for _ in range(m)
         ]
         assert factors(M) == minor_factors(M)
+        assert factors([list(col) for col in zip(*M)]) == factors(M)  # the transpose
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -140,6 +141,7 @@ class TestSmith:
             for _ in range(m)
         ]
         assert factors(M) == minor_factors(M)
+        assert factors([list(col) for col in zip(*M)]) == factors(M)  # the transpose
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

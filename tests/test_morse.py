@@ -22,7 +22,7 @@ from todatopo import (
     principal_graph,
     toda_graph,
 )
-from todatopo.errors import CorruptComplexError
+from todatopo.errors import ConfigError, CorruptComplexError
 from todatopo.morse import stable_set, unstable_set
 
 
@@ -261,6 +261,12 @@ class TestPrincipalGraph:
         pg = principal_graph(4)
         for cell in pg.cells_of_grade(1):
             assert pg.boundary_coefficients(cell) == []
+
+    @pytest.mark.parametrize("l", [13, 20])
+    def test_rank_cap(self, l):
+        # About 0.75 * 3^l faces: the cap is checked before any is built.
+        with pytest.raises(ConfigError, match="capped at rank 12"):
+            principal_graph(l)
 
 
 class TestBettiFormulas:
