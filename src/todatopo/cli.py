@@ -3,11 +3,13 @@
 Four subcommands: ``cells``, ``homology``, ``morse``, ``simulate``.
 Each prints a human summary to stdout and writes machine artifacts to
 the paths given by flags; ``--output -`` replaces the summary with the
-JSON artifact on stdout.  Every artifact path is checked before any
+``--output`` artifact on stdout (the cells CSV or JSON, or the JSON of
+the other subcommands).  Every artifact path is checked before any
 computation, so a path that cannot be written leaves no artifact, on
-stdout or on disk.  Identical configurations produce byte identical
-output.  Exit code 0 means every requested computation
-finished and all internal consistency checks passed.
+stdout or on disk, and two artifacts may not share a destination.
+Identical configurations produce byte identical output.  Exit code 0
+means every requested computation finished and all internal
+consistency checks passed.
 """
 
 from __future__ import annotations
@@ -70,15 +72,32 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _check_distinct(args) -> None:
+    """Fail now if two artifact options name the same destination."""
+    seen = {}
+    for option in ARTIFACT_OPTIONS:
+        path = getattr(args, option, None)
+        if path is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        where = path if path == "-" else os.path.realpath(path)
+        if where in seen:
+            raise ConfigError(f"{seen[where]} and {flag} both write to {path}")
+        seen[where] = flag
+
+
+def _emit(chunks, path: str | None) -> None:
+    """Write a str, or an iterable of str chunks, to ``path`` ('-' is stdout)."""
     if path is None:
         return
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _unwritable(path, exc) from None
 
@@ -99,9 +118,7 @@ def cmd_cells(args) -> int:
             print(f"dim {k}: {c} cells")
         print(f"Euler characteristic: {cx.euler_characteristic()}")
     if args.format == "json":
-        artifact = report.dump_json(
-            report.cells_json_obj(args.type, args.rank, cx)
-        )
+        artifact = report.cells_json(args.type, args.rank, cx)
     else:
         artifact = report.cells_csv(cx)
     _emit(artifact, args.output)
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--output",
             default=None,
-            help="artifact path; '-' prints the JSON artifact to stdout",
+            help="artifact path; '-' prints the artifact to stdout instead of the summary",
         )
 
     p = sub.add_parser("cells", help="enumerate the cell decomposition")
@@ -389,6 +406,7 @@ def main(argv=None) -> int:
     if signs is not None:
         args.signs = signs
     try:
+        _check_distinct(args)
         for option in ARTIFACT_OPTIONS:
             _check_writable(getattr(args, option, None))
         return args.func(args)

@@ -34,6 +34,13 @@ def word_list(w) -> list:
 
 
 # -- cells -------------------------------------------------------------------
+#
+# The three cells artifacts are generators of text chunks, one or two per
+# degree, so that no artifact is held whole in memory.  A row is the text of
+# its diagram, built once per diagram, around the text of its coset
+# representative, built once per representative.  cell_rows and
+# cells_json_obj are the same rows as dicts, the reference the streamed
+# text is tested against.
 
 
 def cell_rows(cx: ChainComplex):
@@ -53,34 +60,106 @@ def cell_rows(cx: ChainComplex):
     return rows
 
 
-def cells_csv(cx: ChainComplex) -> str:
-    lines = ["dim,codim,colors,coset_word,coset_length"]
-    for row in cell_rows(cx):
-        word = "-".join(str(i) for i in row["coset_word"]) or "e"
-        lines.append(
-            f"{row['dim']},{row['codim']},{row['colors']},{word},{row['coset_length']}"
-        )
-    return "\n".join(lines) + "\n"
+def _row_texts(cx: ChainComplex, diagram_text, rep_text):
+    """For each degree, the list of its rows ``head + rep_text(rep) + tail``.
+
+    ``diagram_text(cell)`` gives the (head, tail) pair of the cell's diagram.
+    """
+    diagrams, reps = {}, {}
+    for basis in cx.bases:
+        rows = []
+        for cell in basis:
+            parts = diagrams.get(cell.diagram)
+            if parts is None:
+                parts = diagrams[cell.diagram] = diagram_text(cell)
+            rep = cell.rep
+            text = reps.get(rep.position)
+            if text is None:
+                text = reps[rep.position] = rep_text(rep)
+            rows.append(parts[0] + text + parts[1])
+        yield rows
 
 
-def cells_json_obj(type_label: str, rank: int, cx: ChainComplex) -> dict:
+def _csv_diagram(cell) -> tuple[str, str]:
+    return f"{cell.dim},{cell.codim},{cell.diagram.color_string()},", "\n"
+
+
+def _csv_rep(rep) -> str:
+    return f"{rep.word_str()},{rep.length}"
+
+
+def cells_csv(cx: ChainComplex):
+    """The cells CSV as text chunks: the header, then one chunk per degree."""
+    yield "dim,codim,colors,coset_word,coset_length\n"
+    for rows in _row_texts(cx, _csv_diagram, _csv_rep):
+        yield "".join(rows)
+
+
+def _cells_summary(type_label: str, rank: int, cx: ChainComplex) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": type_label,
         "rank": rank,
         "counts_by_dim": list(cx.ranks()),
         "euler_characteristic": cx.euler_characteristic(),
-        "cells": cell_rows(cx),
     }
 
 
-def boundaries_csv(cx: ChainComplex) -> str:
-    """Sparse triplets of every boundary map: degree,row,col,value."""
-    lines = ["degree,row,col,value"]
+def cells_json_obj(type_label: str, rank: int, cx: ChainComplex) -> dict:
+    return {**_cells_summary(type_label, rank, cx), "cells": cell_rows(cx)}
+
+
+# A row of the cells list as dump_json lays it out: sorted keys, each at
+# depth 3 of an indent=2 document, the coset word's letters at depth 4.
+def _json_diagram(cell) -> tuple[str, str]:
+    colors = json.dumps(cell.diagram.color_string())
+    return (
+        f'    {{\n      "codim": {cell.codim},\n      "colors": {colors},\n      "coset_length": ',
+        f',\n      "dim": {cell.dim}\n    }}',
+    )
+
+
+def _json_rep(rep) -> str:
+    letters = ",".join(f"\n        {i}" for i in rep.word)
+    word = f"[{letters}\n      ]" if letters else "[]"
+    return f'{rep.length},\n      "coset_word": {word}'
+
+
+def cells_json(type_label: str, rank: int, cx: ChainComplex):
+    """The text of ``dump_json(cells_json_obj(...))`` as chunks, one per degree.
+
+    Only the cells list is laid out here; the other keys come from
+    ``dump_json``, with the list's place marked by a null.
+    """
+    head, _, tail = dump_json(
+        {**_cells_summary(type_label, rank, cx), "cells": None}
+    ).partition('"cells": null')
+    yield head + '"cells": ['
+    sep = "\n"
+    for rows in _row_texts(cx, _json_diagram, _json_rep):
+        if rows:
+            yield sep + ",\n".join(rows)
+            sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + tail
+
+
+def boundaries_csv(cx: ChainComplex):
+    """Sparse triplets of every boundary map, degree,row,col,value, one chunk per degree.
+
+    The triplets come in ``IntMatrix.triplets`` order, (row, col), without a
+    sort: walking the columns in order fills each row's bucket in column order.
+    """
+    yield "degree,row,col,value\n"
     for k in range(1, cx.top_degree + 1):
-        for r, c, v in cx.boundary(k).triplets():
-            lines.append(f"{k},{r},{c},{v}")
-    return "\n".join(lines) + "\n"
+        mat = cx.boundary(k)
+        buckets = [[] for _ in range(mat.rows)]
+        for c, col in enumerate(mat.columns):
+            head = f"{c},"
+            for r, v in col.items():
+                buckets[r].append(head + str(v))
+        yield "".join(
+            f"{k},{r}," + f"\n{k},{r},".join(b) + "\n" for r, b in enumerate(buckets) if b
+        )
 
 
 # -- homology ----------------------------------------------------------------

@@ -74,6 +74,15 @@ class TestCells:
                          "--format", "json", "--output", "-")
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_file(self, capsys, tmp_path, fmt):
+        argv = ["cells", "--type", "B", "--rank", "3", "--format", fmt]
+        code, out, _ = run(capsys, *argv, "--output", "-")
+        path = tmp_path / f"cells.{fmt}"
+        assert code == 0
+        assert run(capsys, *argv, "--output", str(path))[0] == 0
+        assert out.encode() == path.read_bytes()
+
 
 # sha256 of artifacts written by the root-permutation implementation of the
 # Weyl group; the table-driven arithmetic must reproduce them byte for byte.
@@ -516,3 +525,34 @@ class TestUnwritablePath:
         capsys.readouterr()
         assert code == [0]
         assert json.loads(text)["groups"][1]["torsion"] == [2]
+
+
+class TestSameDestination:
+    # Two artifacts on one destination would run together on stdout, or the
+    # later would overwrite the earlier; either is refused before any work.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("cells", "--output", "-", "--boundaries", "-"), "--output and --boundaries both write to -"),
+            (("cells", "--output", "{x}", "--boundaries", "{x}"), "--output and --boundaries both write to {x}"),
+            (("cells", "--output", "{x}", "--boundaries", "{x_dotted}"),
+             "--output and --boundaries both write to {x_dotted}"),
+            (("morse", "--toda-dot", "{x}", "--morse-dot", "{x}"), "--toda-dot and --morse-dot both write to {x}"),
+            (("morse", "--toda-dot", "{y}", "--morse-dot", "{x}", "--output", "{x_dotted}"),
+             "--output and --morse-dot both write to {x}"),
+            (("simulate", "--signs", "+-", "--trajectory", "-", "--output", "-"),
+             "--output and --trajectory both write to -"),
+            (("simulate", "--signs", "+-", "--trajectory", "{x}", "--output", "{x}"),
+             "--output and --trajectory both write to {x}"),
+        ],
+        ids=["cells-stdout", "cells-file", "cells-two-spellings", "morse-dots", "morse-output",
+             "simulate-stdout", "simulate-file"],
+    )
+    def test_rejected_before_any_work(self, capsys, tmp_path, argv, message):
+        paths = {"x": tmp_path / "x.out", "x_dotted": f"{tmp_path}/./x.out", "y": tmp_path / "y.out"}
+        code, out, err = run(capsys, argv[0], "--type", "A", "--rank", "2",
+                             *(a.format(**paths) for a in argv[1:]))
+        assert code == 1
+        assert err == f"error: {message.format(**paths)}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []

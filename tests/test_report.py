@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from todatopo import report
+from todatopo import build_chain_complex, cartan_matrix, generate_weyl_group, report
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3000])
@@ -11,3 +11,30 @@ def test_dump_json_matches_json_dumps(rows):
     obj = {"schema_version": 1, "rows": [{"i": i, "v": [i, -i / 3, None, "é"], "ok": i % 2 == 0}
                                          for i in range(rows)], "empty": {}}
     assert report.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_cells_csv(cx):
+    lines = ["dim,codim,colors,coset_word,coset_length"]
+    for row in report.cell_rows(cx):
+        word = "-".join(str(i) for i in row["coset_word"]) or "e"
+        lines.append(f"{row['dim']},{row['codim']},{row['colors']},{word},{row['coset_length']}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_boundaries_csv(cx):
+    lines = ["degree,row,col,value"]
+    for k in range(1, cx.top_degree + 1):
+        lines.extend(f"{k},{r},{c},{v}" for r, c, v in cx.boundary(k).triplets())
+    return "\n".join(lines) + "\n"
+
+
+# A1 has rank 1 and the identity's empty coset word; B3 and G2 are not
+# simply laced, G2 with an odd off-diagonal entry.
+@pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("B", 3), ("G", 2), ("D", 4)])
+def test_streamed_cells_artifacts_match_the_dict_reference(type_label, rank):
+    cx = build_chain_complex(generate_weyl_group(cartan_matrix(type_label, rank)))
+    json_text = "".join(report.cells_json(type_label, rank, cx))
+    assert json_text == report.dump_json(report.cells_json_obj(type_label, rank, cx))
+    assert json.loads(json_text)["cells"] == report.cell_rows(cx)
+    assert "".join(report.cells_csv(cx)) == _reference_cells_csv(cx)
+    assert "".join(report.boundaries_csv(cx)) == _reference_boundaries_csv(cx)
