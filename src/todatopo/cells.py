@@ -15,6 +15,28 @@ s_i, an orientation factor ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)`
 the determinant of the wall-gluing map on the cell's free coordinates.
 With it the boundary squares to zero and the rank-2 A-type complex
 reproduces the gold homology (Z, Z^3 + Z/2, 0).
+
+The colors also give an acyclic matching on the cells, along which
+``homology_of`` reduces the complex (discrete Morse theory).  For a cell
+(S, red, w) let A be the set of vertices that are Blue, or uncolored and
+not a right descent of w, and let v be the least vertex of A.  If v is
+uncolored, the cell is paired with its Blue face on v, one degree down;
+if v is Blue, with the cell that has v uncolored, one degree up.  The
+Blue face on a non-descent v keeps w with no residual letters, so a pair
+is joined by the literal sign ``(-1) ** (j + 3)``, a unit.  Both cells of
+a pair have the same A, so the rule is an involution.  It is acyclic.
+A gradient path steps from a cell paired downward, on v, to another
+face that is paired upward, then to that face's partner; it starts at
+a critical cell, whose every face is shorter (see below).  A face's
+representative is never longer than w, and shorter when the new vertex
+is a descent of w.  A face that keeps w and is paired upward must color
+v itself Red (any other such face still has v, uncolored, as the least
+vertex of its A), so its partner's least vertex of A is larger than v.
+Along a path the length of w never grows, and while it stays, min A
+strictly grows: no path returns to its start.  The cells with A empty
+are critical: one per w, with S the vertices outside the descent set of
+w, all Red, in degree |Desc(w)|.  So the critical cells of degree k are
+counted by the elements with k descents.
 """
 
 from __future__ import annotations
@@ -187,12 +209,19 @@ class ChainComplex:
 
     ``bases[k]`` is the ordered basis in degree k (cell dimension k);
     ``boundaries[k]`` maps degree k to degree k-1, with ``boundaries[0]``
-    the empty map out of degree 0.  Construction checks the shapes and the
-    square-zero identity.
+    the empty map out of degree 0.  ``matching`` is an acyclic matching
+    to reduce along: ``matching[k]`` maps cells of C_k to their partners in
+    C_(k+1), one dict for each degree below the top, or ``()`` for none.
+    The cellular complex knows its matching from the colored diagrams, so
+    ``homology_of`` need not search for pivots.  Construction checks the
+    shapes, the square-zero identity and that each pair is joined by +-1
+    with no cell in two pairs; acyclicity is checked where the matching
+    is read.
     """
 
     bases: tuple[tuple, ...]
     boundaries: tuple[IntMatrix, ...]
+    matching: tuple[dict[int, int], ...] = ()
 
     def __post_init__(self):
         if len(self.bases) != len(self.boundaries):
@@ -203,7 +232,26 @@ class ChainComplex:
             want_rows = len(self.bases[k - 1]) if k > 0 else 0
             if mat.rows != want_rows:
                 raise CorruptComplexError(f"boundary {k} has wrong row count")
+        self._check_matching()
         self.validate()
+
+    def _check_matching(self) -> None:
+        if not self.matching:
+            return
+        if len(self.matching) != self.top_degree:
+            raise CorruptComplexError("matching needs one dict per degree below the top")
+        below: set[int] = set()  # cells of C_k paired downward
+        for k, pairs in enumerate(self.matching):
+            columns = self.boundaries[k + 1].columns
+            if not below.isdisjoint(pairs):
+                raise CorruptComplexError(f"a cell of degree {k} is in two pairs")
+            below = set(pairs.values())
+            if len(below) != len(pairs):
+                raise CorruptComplexError(f"a cell of degree {k + 1} is in two pairs")
+            if below and not (0 <= min(below) and max(below) < len(columns)):
+                raise CorruptComplexError(f"a partner is not a cell of degree {k + 1}")
+            if not {columns[p].get(t) for t, p in pairs.items()} <= {1, -1}:
+                raise CorruptComplexError(f"a pair of degrees {k}, {k + 1} is not joined by +-1")
 
     @property
     def top_degree(self) -> int:
@@ -234,42 +282,67 @@ class ChainComplex:
                     raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
 
 
+def _faces(D: ColoredDynkinDiagram) -> list:
+    """Faces of D in (j, c) order: sign, masks, and the new vertex's bit if Blue (-1 if Red)."""
+    out = []
+    for j in range(1, len(D.uncolored) + 1):
+        for c in (1, 2):
+            sgn, face = diagram_boundary(D, j, c)
+            out.append((sgn, face.mask, face.red, face.mask ^ D.mask if c == 2 else -1))
+    return out
+
+
 def build_chain_complex(W: WeylGroup) -> ChainComplex:
     """Cellular chain complex of the compactified manifold for W's type.
 
     Boundary of a cell (D, [w]): for each (j, c) the colored diagram gains
     a vertex with the literal sign, the coset is re-minimized in the larger
     parabolic, and the residual rep^-1 * w, spelled by the walk that finds
-    rep, is pushed onto the diagram with its orientation sign.
+    rep, is pushed onto the diagram with its orientation sign.  A cell
+    whose least vertex of A (module docstring) is uncolored is matched
+    with its Blue face on that vertex, whose row the same pass looks up.
     """
     odd = _odd_columns(W.cartan)
+    descents = W._descents
     l = W.rank
+    full = (1 << l) - 1
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
     index = [
         {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i for i, cell in enumerate(basis)}
         for basis in bases
     ]
     boundaries = [IntMatrix(0, len(bases[0]))]
+    matching = []
     for k in range(1, l + 1):
         row_of = index[k - 1]
         columns = []
-        faces: dict[ColoredDynkinDiagram, list] = {}
-        for cell in bases[k]:
+        pairs: dict[int, int] = {}
+        faces: dict[ColoredDynkinDiagram, tuple] = {}
+        for i, cell in enumerate(bases[k]):
             D = cell.diagram
             if D not in faces:
-                faces[D] = [
-                    (sgn, face.mask, face.red)
-                    for j in range(1, len(D.uncolored) + 1)
-                    for sgn, face in (diagram_boundary(D, j, 1), diagram_boundary(D, j, 2))
-                ]
+                faces[D] = _faces(D), D.mask ^ D.red, full ^ D.mask
+            fs, blue, free = faces[D]
+            w = cell.rep.position
+            dw = descents[w]
+            free &= ~dw
+            A = blue | free
+            down = A & -A & free  # the least vertex of A if it is uncolored, else 0
             column: dict[int, int] = {}
-            for sgn, S, red in faces[D]:
-                rep, letters = W._coset_walk(cell.rep.position, S)
-                osgn, red = _act(letters, S, red, odd)
-                r = row_of[(S, red, rep)]
-                column[r] = column.get(r, 0) + sgn * osgn
+            for sgn, S, red, bit in fs:
+                if dw & S:  # the new vertex is a descent of w: walk to the face's rep
+                    rep, letters = W._coset_walk(w, S)
+                    osgn, red = _act(letters, S, red, odd)
+                    r = row_of[(S, red, rep)]
+                    column[r] = column.get(r, 0) + sgn * osgn
+                else:  # the face keeps w, with no residual letters: a row of its own
+                    r = row_of[(S, red, w)]
+                    column[r] = sgn
+                    if bit == down:
+                        pairs[r] = i
             if 0 in column.values():
                 column = {r: v for r, v in column.items() if v}
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
-    return ChainComplex(bases, tuple(boundaries))
+        matching.append(pairs)
+    return ChainComplex(bases, tuple(boundaries), tuple(matching))

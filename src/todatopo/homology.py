@@ -1,17 +1,18 @@
-"""Exact integral homology via sparse Smith elimination.
+"""Exact integral homology via discrete Morse reduction and sparse Smith elimination.
 
 All arithmetic is on Python ints, so intermediate entry growth cannot
-overflow.  ``homology_of`` first shrinks the complex by Gaussian
-elimination on its unit entries, from the top degree down: each step
-removes a pair of cells joined by a +-1 entry and leaves a complex with
-the same homology.  What is left (the residues) goes to
-``invariant_factors``, which eliminates sparsely, in rounds that pivot
-on entries equal to the gcd of what is left.  When no entry equals that
-gcd, unimodular row and column steps make one that does.  One pivot
-loop, ``_pivot``, serves both callers, and nothing is densified.  Each
-matrix is regrouped once, by ``_rows``, into row dicts and a column
-index that the pivot and stall steps keep; a residue goes over as its
-transpose, whose columns are the row dicts already held.
+overflow.  ``homology_of`` reduces a complex along its acyclic matching
+(``ChainComplex.matching``; for the cellular complex, the one the
+colored diagrams give): the boundary of each critical cell is pushed
+through the matched pairs, in a topological order of the gradient
+paths, to the Morse differential between critical cells.  No filled
+Schur complement is ever formed.  Each Morse differential, or each full
+boundary of a complex with no matching, goes to ``invariant_factors``,
+which eliminates sparsely, in rounds that pivot on entries equal to the
+gcd of what is left.  When no entry equals that gcd, unimodular row and
+column steps make one that does.  ``_pivot`` is the one pivot loop and
+nothing is densified.  Each matrix is regrouped once, by ``_rows``, into
+row dicts and a column index that the pivot and stall steps keep.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .cells import ChainComplex
+from .errors import CorruptComplexError
 from .matrices import IntMatrix
 
 
@@ -48,13 +50,11 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _rows(mat: IntMatrix, skip_cols=frozenset()):
-    """Row dicts and column -> row-set index of a matrix, in one pass; ``skip_cols`` unread."""
+def _rows(mat: IntMatrix):
+    """Row dicts and column -> row-set index of a matrix, in one pass over its columns."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for c, col in enumerate(mat.columns):
-        if c in skip_cols:
-            continue
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
         cols[c] = set(col)
@@ -70,8 +70,9 @@ def _pivot(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], g: int) -
     wins.  Each pivot clears its column by row operations (the Schur
     complement on that entry) and its row is dropped, since the row's
     other entries die by column operations.  A row lacking a +-g entry
-    re-enters only when touched, so no +-g entry is left.  The caller
-    guarantees that g divides every entry, so each update is exact.
+    re-enters only when touched, so no +-g entry is left.  The caller,
+    ``invariant_factors``, guarantees that g divides every entry, so each
+    update is exact.
     """
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
@@ -187,47 +188,104 @@ def matrix_rank(mat: IntMatrix) -> int:
     return len(invariant_factors(mat))
 
 
+def _gradient_order(pairs: dict[int, int], columns) -> dict[int, int]:
+    """Topological order of the cells t of C_(k-1) paired upward, by Kahn's method.
+
+    t precedes t' when t' is in the boundary of t's partner ``pairs[t]``,
+    whose column ``columns[pairs[t]]`` is read.  A cycle means the
+    matching is not acyclic: ``CorruptComplexError``.
+    """
+    waiting: dict[int, int] = dict.fromkeys(pairs, 0)  # t -> count of unplaced cells before it
+    for t, p in pairs.items():
+        for t2 in columns[p]:
+            if t2 != t and t2 in waiting:
+                waiting[t2] += 1
+    ready = [t for t, n in waiting.items() if not n]
+    order: dict[int, int] = {}
+    while ready:
+        t = ready.pop()
+        order[t] = len(order)
+        for t2 in columns[pairs[t]]:
+            if t2 != t and t2 in waiting:
+                waiting[t2] -= 1
+                if not waiting[t2]:
+                    ready.append(t2)
+    if len(order) < len(pairs):
+        raise CorruptComplexError("the matching has a cycle of gradient paths")
+    return order
+
+
+def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit_cols, crit_rows) -> IntMatrix:
+    """The Morse differential of d_k from the critical cells of C_k to those of C_(k-1).
+
+    Each critical column x = d(s) is pushed through the pairs (t, p) of
+    C_(k-1) x C_k in topological order: x -= (x_t / <d p, t>) d(p) clears
+    t, and only later pairs can enter.  What is left lies on critical
+    cells and on cells paired downward, which are dropped.
+    """
+    columns = d.columns
+    order = _gradient_order(pairs, columns)
+    seq = list(order)  # seq[order[t]] = t
+    row_of = {t: n for n, t in enumerate(crit_rows)}
+    out = []
+    for s in crit_cols:
+        x = dict(columns[s])
+        heap = [order[t] for t in x if t in order]
+        heapq.heapify(heap)
+        while heap:
+            t = seq[heapq.heappop(heap)]
+            a = x.pop(t, 0)
+            if not a:
+                continue  # cancelled, or a second heap entry for t
+            col = columns[pairs[t]]
+            f = a * col[t]  # a / <d p, t>, as <d p, t> = +-1
+            for t2, v in col.items():
+                if t2 == t:
+                    continue
+                new = x.get(t2, 0) - f * v
+                if not new:
+                    del x[t2]
+                    continue
+                if t2 not in x and t2 in order:
+                    heapq.heappush(heap, order[t2])
+                x[t2] = new
+        out.append({row_of[t]: v for t, v in x.items() if t in row_of})
+    return IntMatrix.from_columns(len(crit_rows), out)
+
+
 def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     """H_k = ker d_k / im d_(k+1) for each degree of a complex.
 
-    The complex is first shrunk by Gaussian elimination on its unit
-    entries.  If <d_k a, b> = +-1 for cells a of C_k and b of C_(k-1),
-    removing a and b leaves a complex with the same homology: d_k becomes
-    its Schur complement on that entry, row a leaves d_(k+1), column b
-    leaves d_(k-1), and nothing else changes (Bar-Natan, "Fast Khovanov
-    homology computations", Lemma 4.2).  Degrees run from the top down.
-    d_k is built without the cells of C_k already paired as pivot rows of
-    d_(k+1), and its +-1 entries are pivoted out; the cells of C_k it
-    pairs then leave the residue d'_(k+1), which goes to
-    ``invariant_factors`` as its transpose: the row dicts left by the
-    pivots become its columns, uncopied.  Each cell is paired at most
-    once, and each boundary shrinks before its turn.  With left_k the
-    unpaired cells of C_k, H_k = Z^(left_k - rank d'_k - rank d'_(k+1))
-    plus the factors > 1 of d'_(k+1).
+    The complex is reduced along its acyclic matching (discrete Morse
+    theory: Sköldberg, "Morse theory from an algebraic viewpoint", TAMS
+    2006).  A cell is critical when it is in no pair.  The Morse
+    differential d'_k, from the critical cells of C_k to those of
+    C_(k-1), sums the boundary over the gradient paths through the pairs
+    of C_(k-1) x C_k (``_morse_differential``), and the Morse complex has
+    the homology of the original.  When no cell of C_k or C_(k-1) is
+    paired, d'_k is d_k itself.  With crit_k the critical cells of C_k,
+    H_k = Z^(crit_k - rank d'_k - rank d'_(k+1)) plus the factors > 1 of
+    d'_(k+1).  A matching with a cycle raises ``CorruptComplexError``.
 
-    The complex checked the square-zero identity when it was built.
+    The complex checked the square-zero identity and the pairs' +-1
+    entries when it was built.
     """
     top = cx.top_degree
-    left = list(cx.ranks())
-    factors = {}
-    paired: set[int] = set()  # cells of C_k that are pivot rows of d_(k+1)
-    above: dict[int, dict[int, int]] = {}  # d'_(k+1), rows indexed by C_k
-    for k in range(top, -1, -1):
-        rows, cols = _rows(cx.boundary(k), paired)  # d_0 is empty
-        pivots = _pivot(rows, cols, 1)
-        for _, a in pivots:
-            left[k] -= 1
-            left[k - 1] -= 1
-            above.pop(a, None)
-        if k < top:  # d'_(k+1) transposed: its row dicts are the columns
-            residue_t = [above.get(r, {}) for r in range(cx.rank(k))]
-            factors[k + 1] = invariant_factors(IntMatrix.from_columns(cx.rank(k + 1), residue_t))
-        paired = {b for b, _ in pivots}
-        above = rows
-    groups = []
+    matching = cx.matching or ({},) * top
+    crit = []
     for k in range(top + 1):
-        rank_k = len(factors.get(k, ()))
-        rank_k1 = len(factors.get(k + 1, ()))
-        torsion = tuple(d for d in factors.get(k + 1, ()) if d > 1)
-        groups.append(HomologyGroup(left[k] - rank_k - rank_k1, torsion))
-    return groups
+        paired = set(matching[k]) if k < top else set()
+        if k:
+            paired.update(matching[k - 1].values())
+        crit.append([c for c in range(cx.rank(k)) if c not in paired])
+    factors = [()] * (top + 2)
+    for k in range(1, top + 1):
+        d = cx.boundary(k)
+        if len(crit[k]) < d.cols or len(crit[k - 1]) < d.rows:
+            d = _morse_differential(d, matching[k - 1], crit[k], crit[k - 1])
+        factors[k] = invariant_factors(d)
+    return [
+        HomologyGroup(len(crit[k]) - len(factors[k]) - len(factors[k + 1]),
+                      tuple(f for f in factors[k + 1] if f > 1))
+        for k in range(top + 1)
+    ]

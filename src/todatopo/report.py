@@ -233,7 +233,8 @@ def poly_str(coeffs) -> str:
 # -- toda ----------------------------------------------------------------
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory):
+    """The trajectory CSV as text chunks, one line each: no whole-artifact string."""
     l = traj.rank
     header = (
         ["t"]
@@ -241,7 +242,6 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"b{i}" for i in range(1, l + 1)]
         + [f"I{i}" for i in range(1, l + 1)]
     )
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for t, a, b, inv in zip(traj.times, traj.a, traj.b, traj.invariants):
-        lines.append(",".join(map(repr, map(float, (t, *a, *b, *inv)))))
-    return "\n".join(lines) + "\n"
+        yield ",".join(map(repr, map(float, (t, *a, *b, *inv)))) + "\n"

@@ -189,6 +189,36 @@ class TestHomology:
             )
             homology_of(bad)
 
+    def test_matched_pair_joined_by_two_rejected(self):
+        with pytest.raises(CorruptComplexError, match="not joined by"):
+            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), IntMatrix(1, 1, {(0, 0): 2})),
+                         ({0: 0},))
+
+    def test_cell_in_two_pairs_rejected(self):
+        d1 = IntMatrix(2, 1, {(0, 0): 1, (1, 0): -1})  # both points of C_0 onto one edge
+        with pytest.raises(CorruptComplexError, match="two pairs"):
+            ChainComplex(((0, 1), (0,)), (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 0},))
+        # an edge paired with the point below it and the face above it
+        d1 = IntMatrix(1, 2, {(0, 0): 1, (0, 1): -1})
+        d2 = IntMatrix(2, 1, {(0, 0): 1, (1, 0): 1})
+        with pytest.raises(CorruptComplexError, match="two pairs"):
+            ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1, {}), d1, d2), ({0: 0}, {0: 0}))
+
+    def test_cyclic_matching_rejected(self):
+        # d a = d b = x + y, pairs x-a and y-b: x -> a -> y -> b -> x is a gradient cycle
+        d1 = IntMatrix(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+        cx = ChainComplex(((0, 1), (0, 1)), (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 1},))
+        with pytest.raises(CorruptComplexError, match="cycle"):
+            homology_of(cx)
+
+    def test_matching_reduces_to_the_same_groups(self):
+        # the acyclic pairs x-a and y-b of d a = x + y, d b = y, d c = x + y
+        d1 = IntMatrix(2, 3, {(0, 0): 1, (1, 0): 1, (1, 1): 1, (0, 2): 1, (1, 2): 1})
+        bases = ((0, 1), (0, 1, 2))
+        matched = homology_of(ChainComplex(bases, (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 1},)))
+        assert matched == homology_of(ChainComplex(bases, (IntMatrix(0, 2, {}), d1)))
+        assert matched == [HomologyGroup(0), HomologyGroup(1)]
+
     def test_torus(self):
         W = generate_weyl_group(CartanMatrix.from_entries([[2, 0], [0, 2]]))
         groups = homology_of(build_chain_complex(W))
@@ -283,15 +313,41 @@ def _unimodular_pair(n, ops):
     return P, Pinv
 
 
+LIE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+             ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+
+
 class TestReduction:
-    @pytest.mark.parametrize(
-        "letter,rank",
-        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
-         ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)],
-    )
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
     def test_matches_per_degree_route(self, letter, rank):
         cx = build_chain_complex(generate_weyl_group(cartan_matrix(letter, rank)))
         assert homology_of(cx) == _per_degree_groups(cx)
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
+    def test_critical_cells_are_named_by_descents(self, letter, rank):
+        # Unmatched cells: one per w, colored on the vertices outside Desc(w), all Red.
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        cx = build_chain_complex(W)
+        full = (1 << rank) - 1
+        paired = [set() for _ in cx.bases]
+        for k, pairs in enumerate(cx.matching):
+            paired[k].update(pairs)
+            paired[k + 1].update(pairs.values())
+        critical = {
+            (cell.diagram.mask, cell.diagram.red, cell.rep.position)
+            for k, basis in enumerate(cx.bases)
+            for c, cell in enumerate(basis)
+            if c not in paired[k]
+        }
+        S = [full & ~W._descents[w] for w in range(len(W))]
+        assert critical == {(S[w], S[w], w) for w in range(len(W))}
+        per_degree = [len(basis) - len(paired[k]) for k, basis in enumerate(cx.bases)]
+        descents = [d.bit_count() for d in W._descents]
+        assert per_degree == [descents.count(k) for k in range(rank + 1)]
+        if (letter, rank) == ("A", 3):
+            assert per_degree == [1, 11, 11, 1]
+        if (letter, rank) == ("B", 4):
+            assert per_degree == [1, 76, 230, 76, 1]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -322,6 +378,15 @@ class TestReduction:
         assert [g.free_rank for g in groups] == [free.count(k) for k in range(top + 1)]
         for k, g in enumerate(groups):
             assert _primary_parts(g.torsion) == _primary_parts(m for j, m in arrows if j == k + 1)
+
+    @pytest.mark.slow
+    def test_b5_groups(self):
+        # recorded from a unit-pivot Gaussian reduction, an independent route
+        cx = build_chain_complex(generate_weyl_group(cartan_matrix("B", 5)))
+        groups = homology_of(cx)
+        assert [g.free_rank for g in groups] == [1, 35, 395, 361, 0, 0]
+        assert [len(g.torsion) for g in groups] == [0, 202, 1085, 236, 1, 0]
+        assert all(d == 2 for g in groups for d in g.torsion)
 
     @pytest.mark.slow
     def test_d5_groups(self):
