@@ -31,7 +31,6 @@ from .homology import (
     HomologyGroup,
     homology_of,
     invariant_factors,
-    matrix_rank,
 )
 from .lie import (
     CartanMatrix,

@@ -33,7 +33,10 @@ is a descent of w.  A face that keeps w and is paired upward must color
 v itself Red (any other such face still has v, uncolored, as the least
 vertex of its A), so its partner's least vertex of A is larger than v.
 Along a path the length of w never grows, and while it stays, min A
-strictly grows: no path returns to its start.  The cells with A empty
+strictly grows: no path returns to its start.  So the key (-l(w), min A)
+strictly grows along every gradient step, and ``build_chain_complex``
+lists the pairs of each degree by it, a gradient order that
+``homology_of`` reduces in without a search.  The cells with A empty
 are critical: one per w, with S the vertices outside the descent set of
 w, all Red, in degree |Desc(w)|.  So the critical cells of degree k are
 counted by the elements with k descents.
@@ -213,10 +216,12 @@ class ChainComplex:
     to reduce along: ``matching[k]`` maps cells of C_k to their partners in
     C_(k+1), one dict for each degree below the top, or ``()`` for none.
     The cellular complex knows its matching from the colored diagrams, so
-    ``homology_of`` need not search for pivots.  Construction checks the
-    shapes, the square-zero identity and that each pair is joined by +-1
-    with no cell in two pairs; acyclicity is checked where the matching
-    is read.
+    ``homology_of`` need not search for pivots.  Each ``matching[k]``
+    lists its pairs in a gradient order: every face of a partner that is
+    paired upward, other than the partner's own, is listed later.
+    Construction checks the shapes, the square-zero identity and that each
+    pair is joined by +-1 with no cell in two pairs; the order, which no
+    matching with a cycle has, is checked where the matching is read.
     """
 
     bases: tuple[tuple, ...]
@@ -345,4 +350,17 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
         matching.append(pairs)
-    return ChainComplex(bases, tuple(boundaries), tuple(matching))
+    del index, row_of  # freed before the pairs are sorted: sorting sooner raises the peak
+    matching = tuple(
+        {t: pairs[t] for t in sorted(pairs, key=lambda t: _gradient_key(bases[k][t], descents))}
+        for k, pairs in enumerate(matching)
+    )
+    return ChainComplex(bases, tuple(boundaries), matching)
+
+
+def _gradient_key(cell: Cell, descents) -> int:
+    """(-l(w), least vertex of A as a bit) in one int: it grows along every gradient step."""
+    D, w = cell.diagram, cell.rep
+    A = (D.mask ^ D.red) | (~D.mask & ~descents[w.position])
+    A &= (1 << D.rank) - 1
+    return (A & -A) - (w.length << D.rank)

@@ -4,8 +4,8 @@ All arithmetic is on Python ints, so intermediate entry growth cannot
 overflow.  ``homology_of`` reduces a complex along its acyclic matching
 (``ChainComplex.matching``; for the cellular complex, the one the
 colored diagrams give): the boundary of each critical cell is pushed
-through the matched pairs, in a topological order of the gradient
-paths, to the Morse differential between critical cells.  No filled
+through the matched pairs, in the gradient order the matching lists
+them in, to the Morse differential between critical cells.  No filled
 Schur complement is ever formed.  Each Morse differential, or each full
 boundary of a complex with no matching, goes to ``invariant_factors``,
 which eliminates sparsely, in rounds that pivot on entries equal to the
@@ -184,48 +184,25 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def matrix_rank(mat: IntMatrix) -> int:
-    return len(invariant_factors(mat))
-
-
-def _gradient_order(pairs: dict[int, int], columns) -> dict[int, int]:
-    """Topological order of the cells t of C_(k-1) paired upward, by Kahn's method.
-
-    t precedes t' when t' is in the boundary of t's partner ``pairs[t]``,
-    whose column ``columns[pairs[t]]`` is read.  A cycle means the
-    matching is not acyclic: ``CorruptComplexError``.
-    """
-    waiting: dict[int, int] = dict.fromkeys(pairs, 0)  # t -> count of unplaced cells before it
-    for t, p in pairs.items():
-        for t2 in columns[p]:
-            if t2 != t and t2 in waiting:
-                waiting[t2] += 1
-    ready = [t for t, n in waiting.items() if not n]
-    order: dict[int, int] = {}
-    while ready:
-        t = ready.pop()
-        order[t] = len(order)
-        for t2 in columns[pairs[t]]:
-            if t2 != t and t2 in waiting:
-                waiting[t2] -= 1
-                if not waiting[t2]:
-                    ready.append(t2)
-    if len(order) < len(pairs):
-        raise CorruptComplexError("the matching has a cycle of gradient paths")
-    return order
-
-
 def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit_cols, crit_rows) -> IntMatrix:
     """The Morse differential of d_k from the critical cells of C_k to those of C_(k-1).
 
     Each critical column x = d(s) is pushed through the pairs (t, p) of
-    C_(k-1) x C_k in topological order: x -= (x_t / <d p, t>) d(p) clears
-    t, and only later pairs can enter.  What is left lies on critical
-    cells and on cells paired downward, which are dropped.
+    C_(k-1) x C_k in the order ``pairs`` lists them: x -= (x_t / <d p, t>) d(p)
+    clears t, and only later pairs can enter.  What is left lies on critical
+    cells and on cells paired downward, which are dropped.  That order must
+    be a gradient order, every paired face of p other than t listed after t;
+    an earlier one, as any cycle of gradient paths has, raises
+    ``CorruptComplexError``.
     """
     columns = d.columns
-    order = _gradient_order(pairs, columns)
-    seq = list(order)  # seq[order[t]] = t
+    seq = list(pairs)
+    order = {t: n for n, t in enumerate(seq)}
+    for n, t in enumerate(seq):
+        if any(order.get(t2, n) < n for t2 in columns[pairs[t]]):
+            raise CorruptComplexError(
+                "the matching is not listed in gradient order, or has a cycle of gradient paths"
+            )
     row_of = {t: n for n, t in enumerate(crit_rows)}
     out = []
     for s in crit_cols:
@@ -265,7 +242,8 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     the homology of the original.  When no cell of C_k or C_(k-1) is
     paired, d'_k is d_k itself.  With crit_k the critical cells of C_k,
     H_k = Z^(crit_k - rank d'_k - rank d'_(k+1)) plus the factors > 1 of
-    d'_(k+1).  A matching with a cycle raises ``CorruptComplexError``.
+    d'_(k+1).  A matching whose pairs are not listed in gradient order, as
+    none can be when it has a cycle, raises ``CorruptComplexError``.
 
     The complex checked the square-zero identity and the pairs' +-1
     entries when it was built.

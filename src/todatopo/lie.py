@@ -210,7 +210,8 @@ class WeylGroup(Sequence):
     product is shorter than w.
 
     The enumeration cap ``max_order`` defaults to the integer in the
-    ``TODATOPO_MAX_WEYL_ORDER`` environment variable, else to 51840.
+    ``TODATOPO_MAX_WEYL_ORDER`` environment variable, else to 51840; a cap
+    below 1 raises ``ConfigError``.
     """
 
     def __init__(self, cartan: CartanMatrix, max_order: int | None = None):
@@ -220,6 +221,10 @@ class WeylGroup(Sequence):
                 max_order = int(env) if env else DEFAULT_MAX_ORDER
             except ValueError:
                 raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
+            if max_order < 1:
+                raise ConfigError(f"{MAX_ORDER_ENV} must be at least 1, got {max_order}")
+        elif max_order < 1:
+            raise ConfigError(f"max_order must be at least 1, got {max_order}")
         self.cartan = cartan
         l = cartan.rank
         entries = cartan.entries

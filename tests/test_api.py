@@ -16,9 +16,9 @@ class TestPublicNames:
         "chevalley_invariants", "conjectured_betti", "detect_blowup", "diagram_boundary",
         "eigenvalues", "enumerate_cells", "generate_weyl_group", "homology_of", "incidence",
         "index", "integrate", "invariant_factors", "is_abelian_unstable", "is_transversal",
-        "label", "length", "matrix_rank", "min_coset_rep", "morse_complex",
-        "morse_smale_edges", "parse_sign_string", "poincare_polynomial", "principal_graph",
-        "sign_string", "stable_set", "step", "subsystem", "toda_graph", "unstable_set",
+        "label", "length", "min_coset_rep", "morse_complex", "morse_smale_edges",
+        "parse_sign_string", "poincare_polynomial", "principal_graph", "sign_string",
+        "stable_set", "step", "subsystem", "toda_graph", "unstable_set",
         "ws_act_on_diagram", "ws_act_oriented",
     ]
 

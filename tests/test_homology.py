@@ -14,7 +14,6 @@ from todatopo import (
     generate_weyl_group,
     homology_of,
     invariant_factors,
-    matrix_rank,
 )
 from todatopo.cells import ChainComplex
 
@@ -204,6 +203,17 @@ class TestHomology:
         with pytest.raises(CorruptComplexError, match="two pairs"):
             ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1, {}), d1, d2), ({0: 0}, {0: 0}))
 
+    def test_matching_of_wrong_length_rejected(self):
+        d1 = IntMatrix(1, 1, {(0, 0): 1})
+        with pytest.raises(CorruptComplexError, match="one dict per degree below the top"):
+            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: 0}, {}))
+
+    @pytest.mark.parametrize("partner", [1, -1])
+    def test_partner_out_of_range_rejected(self, partner):
+        d1 = IntMatrix(1, 1, {(0, 0): 1})
+        with pytest.raises(CorruptComplexError, match="a partner is not a cell of degree 1"):
+            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: partner},))
+
     def test_cyclic_matching_rejected(self):
         # d a = d b = x + y, pairs x-a and y-b: x -> a -> y -> b -> x is a gradient cycle
         d1 = IntMatrix(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
@@ -218,6 +228,10 @@ class TestHomology:
         matched = homology_of(ChainComplex(bases, (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 1},)))
         assert matched == homology_of(ChainComplex(bases, (IntMatrix(0, 2, {}), d1)))
         assert matched == [HomologyGroup(0), HomologyGroup(1)]
+        # the same pairs listed against the gradient path x -> a -> y
+        reversed_pairs = ChainComplex(bases, (IntMatrix(0, 2, {}), d1), ({1: 1, 0: 0},))
+        with pytest.raises(CorruptComplexError, match="gradient order"):
+            homology_of(reversed_pairs)
 
     def test_torus(self):
         W = generate_weyl_group(CartanMatrix.from_entries([[2, 0], [0, 2]]))
@@ -260,10 +274,6 @@ class TestHomology:
     def test_a3_free_ranks(self, W_A3):
         groups = homology_of(build_chain_complex(W_A3))
         assert [g.free_rank for g in groups] == [1, 6, 5, 0]
-
-    def test_matrix_rank(self):
-        assert matrix_rank(IntMatrix.from_dense([[2, 0], [0, 0]])) == 1
-        assert matrix_rank(IntMatrix(3, 3, {})) == 0
 
 
 def _per_degree_groups(cx):
@@ -348,6 +358,33 @@ class TestReduction:
             assert per_degree == [1, 11, 11, 1]
         if (letter, rank) == ("B", 4):
             assert per_degree == [1, 76, 230, 76, 1]
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
+    def test_matching_is_listed_by_the_gradient_key(self, letter, rank):
+        # Key (-l(w), min A) from the labels, A the vertices that are Blue, or
+        # uncolored and not a right descent of w.
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        cx = build_chain_complex(W)
+
+        def key(cell):
+            desc = W._descents[cell.rep.position]
+            A = [v for v, eta in cell.diagram.colors if eta == 1]
+            A += [v for v in cell.diagram.uncolored if not desc >> (v - 1) & 1]
+            return -cell.rep.length, min(A)
+
+        steps = 0
+        for k, pairs in enumerate(cx.matching):
+            keys = {t: key(cx.bases[k][t]) for t in pairs}
+            listed = list(keys.values())
+            assert listed == sorted(listed)
+            for t, p in pairs.items():  # a gradient step t -> p -> t2
+                for t2 in cx.boundary(k + 1).columns[p]:
+                    if t2 != t and t2 in pairs:
+                        assert keys[t2] > keys[t]
+                        steps += 1
+        recorded = {("A", 3): 69, ("B", 4): 3101, ("F", 4): 10060}
+        if (letter, rank) in recorded:
+            assert steps == recorded[letter, rank]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

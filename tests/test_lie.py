@@ -126,12 +126,17 @@ class TestGeneration:
         with pytest.raises(GroupOrderCapError, match="17"):
             generate_weyl_group(cartan_matrix("A", 3), max_order=17)
 
+    @pytest.mark.parametrize("max_order", [0, -3])
+    def test_cap_below_one_names_the_parameter(self, max_order):
+        with pytest.raises(ConfigError, match="max_order must be at least 1"):
+            generate_weyl_group(cartan_matrix("A", 1), max_order=max_order)
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "5")
         with pytest.raises(GroupOrderCapError):
             generate_weyl_group(cartan_matrix("A", 2))
 
-    @pytest.mark.parametrize("value", ["abc", "1e5", "12.0"])
+    @pytest.mark.parametrize("value", ["abc", "1e5", "12.0", "0", "-3"])
     def test_env_cap_not_an_integer(self, monkeypatch, value):
         monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", value)
         with pytest.raises(ConfigError, match="TODATOPO_MAX_WEYL_ORDER"):
