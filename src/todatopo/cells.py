@@ -253,6 +253,8 @@ class ChainComplex:
             below = set(pairs.values())
             if len(below) != len(pairs):
                 raise CorruptComplexError(f"a cell of degree {k + 1} is in two pairs")
+            if pairs and not (0 <= min(pairs) and max(pairs) < len(self.bases[k])):
+                raise CorruptComplexError(f"a matched cell is not a cell of degree {k}")
             if below and not (0 <= min(below) and max(below) < len(columns)):
                 raise CorruptComplexError(f"a partner is not a cell of degree {k + 1}")
             if not {columns[p].get(t) for t, p in pairs.items()} <= {1, -1}:

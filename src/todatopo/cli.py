@@ -21,8 +21,6 @@ import stat
 import sys
 from itertools import chain
 
-import numpy as np
-
 from . import report
 from .cells import build_chain_complex, cell_count_formula
 from .errors import ConfigError, RankGateError, TodatopoError
@@ -268,6 +266,8 @@ def cmd_simulate(args) -> int:
         )
     state = TodaState(a0, b0)
     ev0 = eigenvalues(state)
+    import numpy as np
+
     # Below a high threshold the powers of X can still overflow; such a run is
     # rejected below, so numpy's overflow warnings are not printed for it.
     with np.errstate(over="ignore", invalid="ignore"):

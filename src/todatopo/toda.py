@@ -19,6 +19,11 @@ every step gives the same floats as they do.  The Chevalley invariants of
 the recorded states are computed after the loop, on stacks of Lax
 matrices a block of rows at a time.  Everything is deterministic; there
 is no randomness anywhere.
+
+numpy is imported inside the functions that use it, so it loads on the
+first call to one of them: importing this module, and with it the
+package and its CLI, does not load it, and the exact subcommands (cells,
+homology, morse) run without it.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_THRESHOLD = 1e8
 BLOWUP_TIME_RESOLUTION = 1e-6
@@ -63,6 +70,8 @@ class TodaState:
 
 def _lax_stack(a_rows, b_rows) -> np.ndarray:
     """Lax matrices of the (a, b) rows as an (N, n, n) stack."""
+    import numpy as np
+
     N, n = len(a_rows), len(a_rows[0]) + 1
     padded = np.zeros((N, n + 1))
     padded[:, 1:n] = a_rows
@@ -148,6 +157,8 @@ def chevalley_invariants(state: TodaState) -> tuple:
 
 def _invariant_rows(a_rows: list, b_rows: list) -> list:
     """Power traces (tr X^2, ..., tr X^n) of every (a, b) row, one matrix stack per block."""
+    import numpy as np
+
     out = []
     for start in range(0, len(a_rows), _INVARIANT_BLOCK):
         rows = slice(start, start + _INVARIANT_BLOCK)
@@ -163,6 +174,8 @@ def _invariant_rows(a_rows: list, b_rows: list) -> list:
 
 def eigenvalues(state: TodaState) -> np.ndarray:
     """Spectrum sorted by (real, imaginary) part."""
+    import numpy as np
+
     ev = np.linalg.eigvals(assemble_matrix(state))
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
@@ -206,6 +219,8 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
     def max_invariant_drift(self) -> float:
+        import numpy as np
+
         inv = np.asarray(self.invariants)
         # Python's max over the row maxima passes over a later row holding NaN; np.max would not.
         return float(max(np.abs(inv - inv[0]).max(axis=1).tolist()))

@@ -556,3 +556,35 @@ class TestSameDestination:
         assert err == f"error: {message.format(**paths)}\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFreshInterpreter:
+    # Fresh interpreters: in this process other tests have already loaded numpy.
+    SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def interpreter(self, *args):
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_exact_subcommands_leave_numpy_unloaded(self, tmp_path):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from todatopo import cli\n"
+            "codes = []\n"
+            "for cmd in ('cells', 'homology', 'morse'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main([cmd, '--type', 'A', '--rank', '2',\n"
+            "                               '--output', f'{sys.argv[1]}/{cmd}.out']))\n"
+            "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+        )
+        proc = self.interpreter("-c", script, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "numpy": False}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cells.out", "homology.out", "morse.out"]
+
+    def test_simulate_from_a_fresh_start(self):
+        proc = self.interpreter("-m", "todatopo.cli", "simulate", "--rank", "2", "--signs=++",
+                                "--tmax", "0.1")
+        assert proc.returncode == 0, proc.stderr
+        assert "no blow-up" in proc.stdout

@@ -214,6 +214,12 @@ class TestHomology:
         with pytest.raises(CorruptComplexError, match="a partner is not a cell of degree 1"):
             ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: partner},))
 
+    @pytest.mark.parametrize("cell", [5, -1])
+    def test_matched_cell_out_of_range_rejected(self, cell):
+        d1 = IntMatrix(1, 1, {(0, 0): 1})
+        with pytest.raises(CorruptComplexError, match="a matched cell is not a cell of degree 0"):
+            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({cell: 0},))
+
     def test_cyclic_matching_rejected(self):
         # d a = d b = x + y, pairs x-a and y-b: x -> a -> y -> b -> x is a gradient cycle
         d1 = IntMatrix(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
