@@ -20,6 +20,19 @@ the recorded states are computed after the loop, on stacks of Lax
 matrices a block of rows at a time.  Everything is deterministic; there
 is no randomness anywhere.
 
+Most steps need neither halving nor bisection, and `integrate` accepts
+them after one test: the sum of the new coordinates is finite, the
+largest new |b| is at most twice the scale (the largest |b| before the
+step, floored at 1, carried over from the step that made it) and no
+new coordinate exceeds the threshold.  A float sum is finite only if
+every term is, so the one sum replaces a finiteness scan of each
+coordinate (the largest-|x| scans cannot: max passes over a NaN that is
+not first), and a step that passes is one that the halving test and the
+threshold test both accept as it is.  Every other step, finite
+coordinates whose sum overflows included, goes on from the same step to
+those exact tests, the halving and the bisection, so the recorded floats
+are those of the exact tests alone.
+
 numpy is imported inside the functions that use it, so it loads on the
 first call to one of them: importing this module, and with it the
 package and its CLI, does not load it, and the exact subcommands (cells,
@@ -134,10 +147,6 @@ def _rk4_kernel(n: int):
     return namespace["rk4"]
 
 
-def _rk4(a: tuple, b: tuple, h: float):
-    return _rk4_kernel(len(a))(a, b, h)
-
-
 def _floats(xs) -> tuple:
     return tuple(float(x) for x in xs)
 
@@ -146,7 +155,8 @@ def step(state: TodaState, dt: float) -> TodaState:
     """One classical Runge-Kutta step; negative dt integrates backwards."""
     if dt == 0 or not math.isfinite(dt):
         raise ConfigError(f"dt must be nonzero and finite, got {dt}")
-    na, nb = _rk4(_floats(state.a), _floats(state.b), dt)
+    a = _floats(state.a)
+    na, nb = _rk4_kernel(len(a))(a, _floats(state.b), dt)
     return TodaState(na, nb, state.t + dt)
 
 
@@ -252,6 +262,7 @@ def integrate(
     Stops early at the first threshold crossing (or non-finite value) and
     records a blow-up event whose time is bisected to 1e-6 resolution.
     The threshold must be positive; inf counts only non-finite values.
+    t_max and dt must be large enough to change the float times of the run.
     """
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
@@ -262,36 +273,55 @@ def integrate(
     a, b = _floats(state.a), _floats(state.b)
     t = float(state.t)
     t_end = t + t_max
+    if t_end == t:
+        raise ConfigError(f"t_max = {t_max} is below the resolution of the start time t = {t}")
+    # t + dt moves t only if dt exceeds half the float spacing at t, which is
+    # largest at the end of the run farther from 0; at exactly half, t + dt
+    # rounds back to t whenever t is even, so a step can stall after the first.
+    if dt <= 0.5 * math.ulp(max(abs(t), abs(t_end))):
+        raise ConfigError(
+            f"dt = {dt} is below the resolution of the times {t} .. {t_end}: a step would not advance t"
+        )
+    rk4 = _rk4_kernel(len(a))
     traj = Trajectory([t], [a], [b], [])
     if _exceeds(a, b, threshold):
         traj.blowup = BlowupEvent(t, _worst_coordinate(a, b), threshold)
+    scale = max(max(map(abs, b)), _HALVING_FLOOR)
     while traj.blowup is None and t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        na, nb = _rk4(a, b, h)
-        halvings = 0
-        scale = max(max(map(abs, b)), _HALVING_FLOOR)
-        while (
-            halvings < _HALVING_LIMIT
-            and (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale)
-            and h > 0
+        na, nb = rk4(a, b, h)
+        m = max(map(abs, nb))
+        if not (
+            math.isfinite(sum(na) + sum(nb))
+            and m <= 2.0 * scale
+            and m <= threshold
+            and max(map(abs, na)) <= threshold
         ):
-            h *= 0.5
-            halvings += 1
-            na, nb = _rk4(a, b, h)
-        if _exceeds(na, nb, threshold):
-            lo, hi = 0.0, h
-            while hi - lo > BLOWUP_TIME_RESOLUTION:
-                mid = 0.5 * (lo + hi)
-                ma, mb = _rk4(a, b, mid)
-                if _exceeds(ma, mb, threshold):
-                    hi = mid
-                else:
-                    lo = mid
-            ba, bb = _rk4(a, b, hi)
-            traj.blowup = BlowupEvent(t + hi, _worst_coordinate(ba, bb), threshold)
-            break
+            halvings = 0
+            while (
+                halvings < _HALVING_LIMIT
+                and (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale)
+                and h > 0
+            ):
+                h *= 0.5
+                halvings += 1
+                na, nb = rk4(a, b, h)
+            if _exceeds(na, nb, threshold):
+                lo, hi = 0.0, h
+                while hi - lo > BLOWUP_TIME_RESOLUTION:
+                    mid = 0.5 * (lo + hi)
+                    ma, mb = rk4(a, b, mid)
+                    if _exceeds(ma, mb, threshold):
+                        hi = mid
+                    else:
+                        lo = mid
+                ba, bb = rk4(a, b, hi)
+                traj.blowup = BlowupEvent(t + hi, _worst_coordinate(ba, bb), threshold)
+                break
+            m = max(map(abs, nb))
         t += h
         a, b = na, nb
+        scale = max(m, _HALVING_FLOOR)
         traj.times.append(t)
         traj.a.append(a)
         traj.b.append(b)

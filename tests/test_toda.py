@@ -102,6 +102,20 @@ class TestIntegrateArguments:
         with pytest.raises(ConfigError, match="positive and finite"):
             integrate(TodaState((0.0,), (1.0,)), t_max, dt)
 
+    @pytest.mark.parametrize("t0,t_max,dt", [
+        (1e17, 100.0, 1e-3),  # t + dt == t: the loop would record rows without end
+        (1.0 + 2.0 ** -52, 1.0, 2.0 ** -53),  # one step rounds t to an even float, where t + dt == t
+    ])
+    def test_rejects_dt_below_the_time_resolution(self, t0, t_max, dt):
+        with pytest.raises(ConfigError, match="would not advance t"):
+            integrate(TodaState((0.0,), (1.0,), t0), t_max, dt)
+
+    @pytest.mark.parametrize("dt", [1e-3, 100.0])
+    def test_rejects_t_max_below_the_time_resolution(self, dt):
+        # t + t_max == t: the run would take no step and return the start alone.
+        with pytest.raises(ConfigError, match="t_max = 1.0 is below the resolution"):
+            integrate(TodaState((0.0,), (1.0,), 1e17), 1.0, dt)
+
 
 class TestBlowup:
     def test_n2_negative_sector_blows_up_at_known_time(self):
@@ -223,8 +237,18 @@ def _ref_exceeds(a, b, threshold):
     return float(max(np.max(np.abs(a)), np.max(np.abs(b)))) > threshold
 
 
+def _ref_coordinate(a, b):
+    """The first non-finite coordinate, else the largest |x|, ties to the larger name."""
+    names = [f"a{i + 1}" for i in range(len(a))] + [f"b{i + 1}" for i in range(len(b))]
+    x = np.abs(np.concatenate((a, b)))
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        return names[bad[0]]
+    return max(names[i] for i in np.flatnonzero(x == x.max()))
+
+
 def _ref_integrate(a, b, t_max, dt, threshold=1e8):
-    """(times, a rows, b rows, invariant rows, blow-up time, halvings)."""
+    """(times, a rows, b rows, invariant rows, (blow-up time, coordinate) or None, halvings)."""
     a, b, t = np.asarray(a, dtype=float), np.asarray(b, dtype=float), 0.0
     times, arows, brows, halved = [t], [tuple(a)], [tuple(b)], 0
     while t < t_max - 1e-12:
@@ -246,7 +270,7 @@ def _ref_integrate(a, b, t_max, dt, threshold=1e8):
                 else:
                     lo = mid
             inv = [_ref_invariants(x, y) for x, y in zip(arows, brows)]
-            return times, arows, brows, inv, t + hi, halved
+            return times, arows, brows, inv, (t + hi, _ref_coordinate(*_ref_rk4(a, b, hi))), halved
         t += h
         a, b = na, nb
         times.append(t)
@@ -268,7 +292,8 @@ class TestAgainstNumpyReference:
         assert _bits(traj.a) == _bits(arows)
         assert _bits(traj.b) == _bits(brows)
         assert _bits(traj.invariants) == _bits(inv)
-        assert detect_blowup(traj) == blowup
+        got = None if traj.blowup is None else (traj.blowup.time, traj.blowup.coordinate)
+        assert got == blowup
         return traj, halved
 
     @pytest.mark.parametrize("rank", [*range(1, 9), 12, 32])
@@ -278,10 +303,54 @@ class TestAgainstNumpyReference:
         traj, _ = self.check(a, b, 0.2, 1e-3)
         assert traj.blowup is None and len(traj.times) == 201
 
-    def test_escape_halves_and_bisects(self):
-        traj, halved = self.check((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 5.0, 1e-3)
+    @pytest.mark.parametrize("signs", ["-", "-+-", "+-+-+-"])
+    def test_escape_halves_and_bisects(self, signs):
+        # The escaping runs of the flow-sectors benchmark, at simulate's defaults.
+        b = tuple(1.0 if s == "+" else -1.0 for s in signs)
+        traj, halved = self.check((0.0,) * len(b), b, 5.0, 1e-3)
         assert traj.blowup is not None
         assert halved > 0
+
+    @pytest.mark.parametrize("a,b,threshold,coordinate", [
+        ((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 1e3, "b3"),
+        # a^2 + b is conserved, so a rises towards 9.995 while b decays.
+        ((9.99,), (0.1,), 9.993, "a1"),
+    ], ids=["b-crosses", "a-crosses"])
+    def test_crossing_on_a_full_step(self, a, b, threshold, coordinate):
+        # The crossing step is not halved: the common-step test fails on the
+        # threshold alone and hands the step to the bisection.
+        traj, _ = self.check(a, b, 5.0, 1e-3, threshold)
+        assert traj.blowup.coordinate == coordinate
+        a, b = np.array(traj.a[-1]), np.array(traj.b[-1])
+        na, nb = _ref_rk4(a, b, 1e-3)
+        assert np.all(np.isfinite(nb)) and np.max(np.abs(nb)) <= 2.0 * max(np.max(np.abs(b)), 1.0)
+        assert _ref_exceeds(na, nb, threshold)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_sum_of_finite_coordinates(self):
+        # Every row is finite but its a's sum past the largest float, so each
+        # step fails the common-step test and is accepted by the exact one.
+        # Where b is nonzero the a's are linear between neighbours, so b * lap
+        # is 0 and no step blows up; the invariants of these rows overflow.
+        x = 3e307
+        a, b = (x, 2 * x, x, 0.0, x, 2 * x, x), (1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        traj, halved = self.check(a, b, 0.05, 1e-3, math.inf)
+        assert traj.blowup is None and halved == 0 and len(traj.times) == 51
+        for row_a, row_b in zip(traj.a, traj.b):
+            assert all(map(math.isfinite, row_a + row_b))
+            assert not math.isfinite(sum(row_a) + sum(row_b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_past_the_first_coordinate(self):
+        # The a's are linear up to a3, whose -2 * a3 overflows; with b3 = 0 the
+        # step's b3 is 0 * inf = NaN, which reaches a2, b2 and a3 but not a1, b1.
+        # max(map(abs, ...)) passes over a NaN that is not first, so only the
+        # finiteness sum sends this step to the exact tests.
+        x = 1.5 * 2.0 ** 1021
+        traj, _ = self.check((x, 2 * x, 3 * x), (1.0, 1.0, 0.0), 1.0, 1e-3, math.inf)
+        assert len(traj.times) == 1 and traj.blowup is not None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
