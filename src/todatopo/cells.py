@@ -79,11 +79,11 @@ class ColoredDynkinDiagram:
     def from_map(cls, rank, eta):
         mask = red = 0
         for v, s in dict(eta).items():
-            v, s = int(v), int(s)
-            if not 1 <= v <= rank:
+            if v not in range(1, rank + 1):  # compares values: 1.5 is not in it
                 raise ConfigError(f"colored vertex {v} out of range 1..{rank}")
             if s not in (RED, BLUE):
                 raise ConfigError("colors must be +1 (Blue) or -1 (Red)")
+            v = int(v)
             mask |= 1 << (v - 1)
             if s == RED:
                 red |= 1 << (v - 1)
@@ -307,7 +307,9 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     parabolic, and the residual rep^-1 * w, spelled by the walk that finds
     rep, is pushed onto the diagram with its orientation sign.  A cell
     whose least vertex of A (module docstring) is uncolored is matched
-    with its Blue face on that vertex, whose row the same pass looks up.
+    with its Blue face on that vertex, whose row the same pass looks up,
+    and filed under the key (-l(w), min A) that the pair shares; each
+    ``matching[k]`` joins its pairs in key order.
     """
     odd = _odd_columns(W.cartan)
     descents = W._descents
@@ -323,16 +325,15 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     for k in range(1, l + 1):
         row_of = index[k - 1]
         columns = []
-        pairs: dict[int, int] = {}
-        faces: dict[ColoredDynkinDiagram, tuple] = {}
+        buckets: dict[int, dict[int, int]] = {}  # gradient key -> {face: cell}
+        D = None
         for i, cell in enumerate(bases[k]):
-            D = cell.diagram
-            if D not in faces:
-                faces[D] = _faces(D), D.mask ^ D.red, full ^ D.mask
-            fs, blue, free = faces[D]
+            if cell.diagram is not D:  # a diagram's cells come one after another
+                D = cell.diagram
+                fs, blue, uncolored = _faces(D), D.mask ^ D.red, full ^ D.mask
             w = cell.rep.position
             dw = descents[w]
-            free &= ~dw
+            free = uncolored & ~dw
             A = blue | free
             down = A & -A & free  # the least vertex of A if it is uncolored, else 0
             column: dict[int, int] = {}
@@ -345,24 +346,15 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
                 else:  # the face keeps w, with no residual letters: a row of its own
                     r = row_of[(S, red, w)]
                     column[r] = sgn
-                    if bit == down:
-                        pairs[r] = i
+                    if bit == down:  # key (-l(w), min A), shared by the pair
+                        buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
             if 0 in column.values():
                 column = {r: v for r, v in column.items() if v}
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
-        matching.append(pairs)
-    del index, row_of  # freed before the pairs are sorted: sorting sooner raises the peak
+        matching.append(buckets)
+    del index, row_of  # freed before the buckets are joined: joining sooner raises the peak
     matching = tuple(
-        {t: pairs[t] for t in sorted(pairs, key=lambda t: _gradient_key(bases[k][t], descents))}
-        for k, pairs in enumerate(matching)
+        {t: i for key in sorted(buckets) for t, i in buckets[key].items()} for buckets in matching
     )
     return ChainComplex(bases, tuple(boundaries), matching)
-
-
-def _gradient_key(cell: Cell, descents) -> int:
-    """(-l(w), least vertex of A as a bit) in one int: it grows along every gradient step."""
-    D, w = cell.diagram, cell.rep
-    A = (D.mask ^ D.red) | (~D.mask & ~descents[w.position])
-    A &= (1 << D.rank) - 1
-    return (A & -A) - (w.length << D.rank)

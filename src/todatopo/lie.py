@@ -110,7 +110,8 @@ class CartanMatrix:
 
     @classmethod
     def from_entries(cls, entries, type_label="custom"):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        # A non-integral entry is kept as it is, for the constructor to reject.
+        rows = tuple(tuple(int(x) if x == int(x) else x for x in row) for row in entries)
         return cls(type_label, len(rows), rows)
 
     def entry(self, i: int, j: int) -> int:

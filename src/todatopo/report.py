@@ -37,10 +37,10 @@ def word_list(w) -> list:
 #
 # The three cells artifacts are generators of text chunks, one or two per
 # degree, so that no artifact is held whole in memory.  A row is the text of
-# its diagram, built once per diagram, around the text of its coset
-# representative, built once per representative.  cell_rows and
-# cells_json_obj are the same rows as dicts, the reference the streamed
-# text is tested against.
+# its diagram, built once per run of cells sharing one diagram object, around
+# the text of its coset representative, built once per representative.
+# cell_rows and cells_json_obj are the same rows as dicts, the reference the
+# streamed text is tested against.
 
 
 def cell_rows(cx: ChainComplex):
@@ -63,20 +63,21 @@ def cell_rows(cx: ChainComplex):
 def _row_texts(cx: ChainComplex, diagram_text, rep_text):
     """For each degree, the list of its rows ``head + rep_text(rep) + tail``.
 
-    ``diagram_text(cell)`` gives the (head, tail) pair of the cell's diagram.
+    ``diagram_text(cell)`` gives the (head, tail) pair of the cell's diagram,
+    made again whenever a cell's diagram is not the previous cell's object.
     """
-    diagrams, reps = {}, {}
+    reps, D = {}, None
     for basis in cx.bases:
         rows = []
         for cell in basis:
-            parts = diagrams.get(cell.diagram)
-            if parts is None:
-                parts = diagrams[cell.diagram] = diagram_text(cell)
+            if cell.diagram is not D:
+                D = cell.diagram
+                head, tail = diagram_text(cell)
             rep = cell.rep
             text = reps.get(rep.position)
             if text is None:
                 text = reps[rep.position] = rep_text(rep)
-            rows.append(parts[0] + text + parts[1])
+            rows.append(head + text + tail)
         yield rows
 
 

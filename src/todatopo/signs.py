@@ -17,12 +17,12 @@ from .lie import CartanMatrix, WeylElement
 
 
 def validate_signs(eps, rank: int) -> tuple[int, ...]:
-    out = tuple(int(e) for e in eps)
-    if len(out) != rank:
-        raise ConfigError(f"sign vector has length {len(out)}, expected {rank}")
-    if any(e not in (1, -1) for e in out):
+    eps = tuple(eps)
+    if len(eps) != rank:
+        raise ConfigError(f"sign vector has length {len(eps)}, expected {rank}")
+    if any(e not in (1, -1) for e in eps):
         raise ConfigError("sign entries must be +1 or -1")
-    return out
+    return tuple(map(int, eps))
 
 
 def parse_sign_string(s: str) -> tuple[int, ...]:
@@ -60,10 +60,10 @@ def _apply(letters, eps, C: CartanMatrix) -> tuple[int, ...]:
     """Sign vector after one-based letters, first letter first."""
     eps = validate_signs(eps, C.rank)
     for i in letters:
-        if not 1 <= i <= C.rank:
+        if i not in range(1, C.rank + 1):
             raise ConfigError(f"simple-root index {i} out of range 1..{C.rank}")
     red = sum(1 << j for j, e in enumerate(eps) if e == -1)
-    red = _act([i - 1 for i in letters], (1 << C.rank) - 1, red, _odd_columns(C))[1]
+    red = _act([int(i) - 1 for i in letters], (1 << C.rank) - 1, red, _odd_columns(C))[1]
     return tuple(-1 if red >> j & 1 else 1 for j in range(C.rank))
 
 

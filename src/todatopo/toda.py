@@ -193,9 +193,9 @@ def eigenvalues(state: TodaState) -> np.ndarray:
 
 def subsystem(state: TodaState, A) -> TodaState:
     """Zero the b's indexed by A (one-based); the flow then freezes them."""
-    idx = set(int(i) for i in A)
+    idx = set(A)
     for i in idx:
-        if not 1 <= i <= state.rank:
+        if i not in range(1, state.rank + 1):  # compares values: 1.7 is not in it
             raise ConfigError(f"subsystem index {i} out of range 1..{state.rank}")
     b = tuple(0.0 if (i + 1) in idx else x for i, x in enumerate(state.b))
     return TodaState(state.a, b, state.t)
@@ -261,8 +261,8 @@ def integrate(
 
     Stops early at the first threshold crossing (or non-finite value) and
     records a blow-up event whose time is bisected to 1e-6 resolution.
-    The threshold must be positive; inf counts only non-finite values.
-    t_max and dt must be large enough to change the float times of the run.
+    The threshold must be positive; inf counts only non-finite values.  The
+    start time must be finite; t_max and dt must change the run's float times.
     """
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
@@ -272,6 +272,8 @@ def integrate(
         raise ConfigError(f"threshold must be positive, got {threshold}")
     a, b = _floats(state.a), _floats(state.b)
     t = float(state.t)
+    if not math.isfinite(t):
+        raise ConfigError(f"the start time must be finite, got {t}")
     t_end = t + t_max
     if t_end == t:
         raise ConfigError(f"t_max = {t_max} is below the resolution of the start time t = {t}")

@@ -1,5 +1,7 @@
 import types
 
+import pytest
+
 import todatopo
 
 
@@ -29,3 +31,23 @@ class TestPublicNames:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         )
         assert got == self.NAMES
+
+
+# Each call took a non-integral value and truncated it to an int, or (the
+# letter) failed with a TypeError.
+@pytest.mark.parametrize("call,error", [
+    (lambda: todatopo.ColoredDynkinDiagram.from_map(3, {1.5: -1.7}), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram.from_map(3, {1: -1.7}), todatopo.ConfigError),
+    (lambda: todatopo.apply_simple_reflection(1, (1.5, -1.2), todatopo.cartan_matrix("C", 2)),
+     todatopo.ConfigError),
+    (lambda: todatopo.apply_simple_reflection(1.5, (1, 1), todatopo.cartan_matrix("C", 2)),
+     todatopo.ConfigError),
+    (lambda: todatopo.CartanMatrix.from_entries([[2, -1.5], [-1, 2]]),
+     todatopo.InvalidCartanMatrixError),
+    (lambda: todatopo.subsystem(todatopo.TodaState((0.0, 0.0), (1.0, 1.0)), [1.7]),
+     todatopo.ConfigError),
+], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
+       "subsystem"])
+def test_non_integral_input_is_rejected(call, error):
+    with pytest.raises(error):
+        call()

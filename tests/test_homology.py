@@ -381,8 +381,8 @@ class TestReduction:
         steps = 0
         for k, pairs in enumerate(cx.matching):
             keys = {t: key(cx.bases[k][t]) for t in pairs}
-            listed = list(keys.values())
-            assert listed == sorted(listed)
+            listed = [(keys[t], p) for t, p in pairs.items()]
+            assert listed == sorted(listed)  # equal keys by ascending partner
             for t, p in pairs.items():  # a gradient step t -> p -> t2
                 for t2 in cx.boundary(k + 1).columns[p]:
                     if t2 != t and t2 in pairs:

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from todatopo import build_chain_complex, cartan_matrix, generate_weyl_group, report
+from todatopo import (
+    Cell,
+    ChainComplex,
+    ColoredDynkinDiagram,
+    IntMatrix,
+    build_chain_complex,
+    cartan_matrix,
+    generate_weyl_group,
+    report,
+)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3000])
@@ -28,11 +37,33 @@ def _reference_boundaries_csv(cx):
     return "\n".join(lines) + "\n"
 
 
+def _fresh_interleaved(cx):
+    """cx's cells, each with a fresh copy of its diagram, listed by representative
+    so that diagrams interleave, over zero boundaries of matching shapes."""
+    bases = tuple(
+        tuple(
+            Cell(ColoredDynkinDiagram(c.diagram.rank, c.diagram.mask, c.diagram.red), c.rep)
+            for c in sorted(basis, key=lambda c: c.rep.position)
+        )
+        for basis in cx.bases
+    )
+    rows = (0,) + tuple(map(len, bases))
+    return ChainComplex(bases, tuple(IntMatrix(rows[k], len(b)) for k, b in enumerate(bases)))
+
+
 # A1 has rank 1 and the identity's empty coset word; B3 and G2 are not
-# simply laced, G2 with an odd off-diagonal entry.
-@pytest.mark.parametrize("type_label,rank", [("A", 1), ("A", 2), ("B", 3), ("G", 2), ("D", 4)])
-def test_streamed_cells_artifacts_match_the_dict_reference(type_label, rank):
+# simply laced, G2 with an odd off-diagonal entry.  The fresh interleaved
+# B3 cells share no diagram object with the cell before them, so every row
+# makes its diagram text again.
+@pytest.mark.parametrize("type_label,rank,fresh", [
+    *(pytest.param(t, r, False, id=f"{t}-{r}") for t, r in
+      [("A", 1), ("A", 2), ("B", 3), ("G", 2), ("D", 4)]),
+    pytest.param("B", 3, True, id="B-3-fresh-interleaved"),
+])
+def test_streamed_cells_artifacts_match_the_dict_reference(type_label, rank, fresh):
     cx = build_chain_complex(generate_weyl_group(cartan_matrix(type_label, rank)))
+    if fresh:
+        cx = _fresh_interleaved(cx)
     json_text = "".join(report.cells_json(type_label, rank, cx))
     assert json_text == report.dump_json(report.cells_json_obj(type_label, rank, cx))
     assert json.loads(json_text)["cells"] == report.cell_rows(cx)

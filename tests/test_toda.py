@@ -110,6 +110,12 @@ class TestIntegrateArguments:
         with pytest.raises(ConfigError, match="would not advance t"):
             integrate(TodaState((0.0,), (1.0,), t0), t_max, dt)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_start_time(self, t0):
+        # nan would return the start row alone; inf would blame t_max.
+        with pytest.raises(ConfigError, match="start time must be finite"):
+            integrate(TodaState((0.0,), (1.0,), t0), 1.0, 1e-3)
+
     @pytest.mark.parametrize("dt", [1e-3, 100.0])
     def test_rejects_t_max_below_the_time_resolution(self, dt):
         # t + t_max == t: the run would take no step and return the start alone.
