@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Four subcommands: ``cells``, ``homology``, ``morse``, ``simulate``.
-Each prints a human summary to stdout and writes machine artifacts to
-the paths given by flags; ``--output -`` replaces the summary with the
+Each ``cmd_*`` computes and checks, then returns its summary lines and
+its artifacts; it writes nothing.  ``main`` is the one writer: it prints
+the summary to stdout, then writes each requested artifact in
+``ARTIFACT_OPTIONS`` order.  ``--output -`` replaces the summary with the
 ``--output`` artifact on stdout (the cells CSV or JSON, or the JSON of
 the other subcommands).  Every artifact path is checked before any
-computation, so a path that cannot be written leaves no artifact, on
-stdout or on disk, and two artifacts may not share a destination.
-Identical configurations produce byte identical output.  Exit code 0
-means every requested computation finished and all internal
-consistency checks passed.
+computation, two artifacts may not share a destination, and nothing is
+written, on stdout or on disk, until every computation and check has
+passed.  Identical configurations produce byte identical output.  Exit
+code 0 means every requested computation finished and all internal
+consistency checks passed; an invalid run exits 1.
 """
 
 from __future__ import annotations
@@ -104,28 +106,24 @@ def _build_group(args):
     return generate_weyl_group(cartan_matrix(args.type, args.rank))
 
 
-def cmd_cells(args) -> int:
+def cmd_cells(args):
     W = _build_group(args)
     cx = build_chain_complex(W)
     counts = cx.ranks()
     for k in range(W.rank, -1, -1):
         if counts[k] != cell_count_formula(W, W.rank - k):
             raise ConfigError("cell counts disagree with the closed formula")
-    if args.output != "-":
-        for k, c in enumerate(counts):
-            print(f"dim {k}: {c} cells")
-        print(f"Euler characteristic: {cx.euler_characteristic()}")
+    lines = [f"dim {k}: {c} cells" for k, c in enumerate(counts)]
+    lines.append(f"Euler characteristic: {cx.euler_characteristic()}")
     if args.format == "json":
         artifact = report.cells_json(args.type, args.rank, cx)
     else:
         artifact = report.cells_csv(cx)
-    _emit(artifact, args.output)
-    if args.boundaries:
-        _emit(report.boundaries_csv(cx), args.boundaries)
-    return 0
+    # Generators: an unrequested boundaries CSV is never laid out.
+    return lines, {"output": artifact, "boundaries": report.boundaries_csv(cx)}
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args):
     W = _build_group(args)
     cx = build_chain_complex(W)
     groups = homology_of(cx)
@@ -133,14 +131,8 @@ def cmd_homology(args) -> int:
     euler_ranks = sum((-1) ** k * g.free_rank for k, g in enumerate(groups))
     if euler_cells != euler_ranks:
         raise ConfigError("Euler characteristic mismatch between cells and homology")
-    if args.output != "-":
-        for line in report.homology_lines(groups):
-            print(line)
-    _emit(
-        report.dump_json(report.homology_json_obj(args.type, args.rank, groups)),
-        args.output,
-    )
-    return 0
+    obj = report.homology_json_obj(args.type, args.rank, groups)
+    return report.homology_lines(groups), {"output": report.dump_json(obj)}
 
 
 def _morse_gated(args) -> None:
@@ -160,17 +152,20 @@ def _morse_gated(args) -> None:
     )
 
 
-def cmd_morse(args) -> int:
+def cmd_morse(args):
     selectors = args.poincare or args.betti1 or args.conjecture
     is_a = args.type == "A"
     if selectors and not is_a:
         raise ConfigError("--poincare/--betti1/--conjecture apply to type A only")
+    if selectors and (args.toda_dot or args.morse_dot):
+        raise ConfigError("--toda-dot/--morse-dot need the full report, not --poincare/--betti1/--conjecture")
     obj: dict = {
         "schema_version": report.SCHEMA_VERSION,
         "type": args.type,
         "rank": args.rank,
     }
     lines: list[str] = []
+    artifacts = {}
     if not selectors:
         _morse_gated(args)
         W = _build_group(args)
@@ -204,9 +199,9 @@ def cmd_morse(args) -> int:
                 for seed in pg.seeds
             ]
         if args.toda_dot:
-            _emit(report.toda_graph_dot(graph), args.toda_dot)
+            artifacts["toda_dot"] = report.toda_graph_dot(graph)
         if args.morse_dot:
-            _emit(report.morse_graph_dot(W, edges), args.morse_dot)
+            artifacts["morse_dot"] = report.morse_graph_dot(W, edges)
     if is_a:
         # Closed forms: each selector adds its own; the full report adds all
         # three but prints no betti-table lines.
@@ -223,11 +218,8 @@ def cmd_morse(args) -> int:
                 for row in obj["betti_table"]:
                     tag = " (conjecture)" if row["conjecture"] else ""
                     lines.append(f"betti_{row['k']} = {row['value']}{tag}")
-    if args.output != "-":
-        for line in lines:
-            print(line)
-    _emit(report.dump_json(obj), args.output)
-    return 0
+    artifacts["output"] = report.dump_json(obj)
+    return lines, artifacts
 
 
 def _betti_table(l: int) -> list:
@@ -237,7 +229,7 @@ def _betti_table(l: int) -> list:
     return table
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     signs = parse_sign_string(args.signs)
     if args.type != "A":
         raise ConfigError("the integrator implements the A-series matrix form only")
@@ -298,16 +290,12 @@ def cmd_simulate(args) -> int:
         "final_eigenvalues": [[float(e.real), float(e.imag)] for e in evf],
         "max_eigenvalue_drift": eig_drift,
     }
-    if args.output != "-":
-        if traj.blowup:
-            print(f"blow-up at t = {traj.blowup.time:.6f} ({traj.blowup.coordinate})")
-        else:
-            print(f"no blow-up over [0, {args.tmax}]")
-        print(f"max invariant drift: {drift:.3e}")
-    if args.trajectory:
-        _emit(report.trajectory_csv(traj), args.trajectory)
-    _emit(report.dump_json(summary), args.output)
-    return 0
+    if traj.blowup:
+        lines = [f"blow-up at t = {traj.blowup.time:.6f} ({traj.blowup.coordinate})"]
+    else:
+        lines = [f"no blow-up over [0, {args.tmax}]"]
+    lines.append(f"max invariant drift: {drift:.3e}")
+    return lines, {"output": report.dump_json(summary), "trajectory": report.trajectory_csv(traj)}
 
 
 def _invariants_may_overflow(rank: int, threshold: float) -> bool:
@@ -409,7 +397,14 @@ def main(argv=None) -> int:
         _check_distinct(args)
         for option in ARTIFACT_OPTIONS:
             _check_writable(getattr(args, option, None))
-        return args.func(args)
+        lines, artifacts = args.func(args)
+        if args.output != "-":
+            for line in lines:
+                print(line)
+        for option in ARTIFACT_OPTIONS:
+            if option in artifacts:
+                _emit(artifacts[option], getattr(args, option))
+        return 0
     except TodatopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -111,7 +111,10 @@ class CartanMatrix:
     @classmethod
     def from_entries(cls, entries, type_label="custom"):
         # A non-integral entry is kept as it is, for the constructor to reject.
-        rows = tuple(tuple(int(x) if x == int(x) else x for x in row) for row in entries)
+        try:
+            rows = tuple(tuple(int(x) if x == int(x) else x for x in row) for row in entries)
+        except (ValueError, OverflowError):  # int() of nan or 'a'; of inf
+            raise InvalidCartanMatrixError("entries must be integers") from None
         return cls(type_label, len(rows), rows)
 
     def entry(self, i: int, j: int) -> int:

@@ -155,6 +155,8 @@ def step(state: TodaState, dt: float) -> TodaState:
     """One classical Runge-Kutta step; negative dt integrates backwards."""
     if dt == 0 or not math.isfinite(dt):
         raise ConfigError(f"dt must be nonzero and finite, got {dt}")
+    if not math.isfinite(state.t):
+        raise ConfigError(f"the start time must be finite, got {state.t}")
     a = _floats(state.a)
     na, nb = _rk4_kernel(len(a))(a, _floats(state.b), dt)
     return TodaState(na, nb, state.t + dt)

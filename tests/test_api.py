@@ -1,3 +1,4 @@
+import math
 import types
 
 import pytest
@@ -46,8 +47,15 @@ class TestPublicNames:
      todatopo.InvalidCartanMatrixError),
     (lambda: todatopo.subsystem(todatopo.TodaState((0.0, 0.0), (1.0, 1.0)), [1.7]),
      todatopo.ConfigError),
+    # int() itself fails on these: ValueError, ValueError, OverflowError.
+    (lambda: todatopo.CartanMatrix.from_entries([[2, math.nan], [-1, 2]]),
+     todatopo.InvalidCartanMatrixError),
+    (lambda: todatopo.CartanMatrix.from_entries([[2, "a"], [-1, 2]]),
+     todatopo.InvalidCartanMatrixError),
+    (lambda: todatopo.CartanMatrix.from_entries([[2, math.inf], [-1, 2]]),
+     todatopo.InvalidCartanMatrixError),
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
-       "subsystem"])
+       "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

@@ -11,6 +11,7 @@ import pytest
 
 from todatopo import cli
 from todatopo.cli import build_parser, main
+from todatopo.errors import CorruptComplexError
 
 
 def run(capsys, *argv):
@@ -273,6 +274,38 @@ class TestMorse:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dot", ["--toda-dot", "--morse-dot"])
+    @pytest.mark.parametrize("selector", ["--poincare", "--betti1", "--conjecture"])
+    def test_dot_with_selector_rejected(self, capsys, tmp_path, selector, dot):
+        # A selector report draws no graph, so the DOT file would be dropped.
+        code, out, err = run(capsys, "morse", "--type", "A", "--rank", "3", selector,
+                             dot, str(tmp_path / "g.dot"))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --toda-dot/--morse-dot need the full report, "
+                       "not --poincare/--betti1/--conjecture\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_check_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def corrupt(l):
+            raise CorruptComplexError("closed form disagrees")
+
+        monkeypatch.setattr(cli, "betti_one", corrupt)
+        code, out, err = run(capsys, "morse", "--type", "A", "--rank", "2",
+                             "--toda-dot", str(tmp_path / "t.dot"),
+                             "--morse-dot", str(tmp_path / "m.dot"),
+                             "--output", str(tmp_path / "o.json"))
+        assert (code, out, err) == (1, "", "error: closed form disagrees\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_before_dot_on_stdout(self, capsys):
+        code, out, _ = run(capsys, "morse", "--type", "A", "--rank", "2", "--toda-dot", "-")
+        assert code == 0
+        summary, dot = out.split("digraph toda {", 1)
+        assert summary.startswith("critical points: 6; toda edges: 6\n")
+        assert summary.endswith("betti_1 = 3\n")
+        assert dot.rstrip().endswith("}")
 
     def test_sigma_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -92,6 +92,11 @@ class TestStep:
         with pytest.raises(ConfigError, match="nonzero and finite"):
             step(TodaState((0.0,), (1.0,)), dt)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_rejected(self, t0):
+        with pytest.raises(ConfigError, match="start time must be finite"):
+            step(TodaState((0.0,), (1.0,), t0), 0.1)
+
 
 class TestIntegrateArguments:
     @pytest.mark.parametrize("t_max,dt", [
