@@ -309,21 +309,18 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     whose least vertex of A (module docstring) is uncolored is matched
     with its Blue face on that vertex, whose row the same pass looks up,
     and filed under the key (-l(w), min A) that the pair shares; each
-    ``matching[k]`` joins its pairs in key order.
+    degree joins its pairs in key order when done.
     """
     odd = _odd_columns(W.cartan)
     descents = W._descents
     l = W.rank
     full = (1 << l) - 1
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
-    index = [
-        {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i for i, cell in enumerate(basis)}
-        for basis in bases
-    ]
     boundaries = [IntMatrix(0, len(bases[0]))]
     matching = []
     for k in range(1, l + 1):
-        row_of = index[k - 1]
+        row_of = {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i
+                  for i, cell in enumerate(bases[k - 1])}
         columns = []
         buckets: dict[int, dict[int, int]] = {}  # gradient key -> {face: cell}
         D = None
@@ -352,9 +349,6 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
                 column = {r: v for r, v in column.items() if v}
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
-        matching.append(buckets)
-    del index, row_of  # freed before the buckets are joined: joining sooner raises the peak
-    matching = tuple(
-        {t: i for key in sorted(buckets) for t, i in buckets[key].items()} for buckets in matching
-    )
-    return ChainComplex(bases, tuple(boundaries), matching)
+        del row_of  # freed before the join and the next degree's index: one index at a time
+        matching.append({t: i for key in sorted(buckets) for t, i in buckets[key].items()})
+    return ChainComplex(bases, tuple(boundaries), tuple(matching))

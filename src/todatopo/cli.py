@@ -2,16 +2,19 @@
 
 Four subcommands: ``cells``, ``homology``, ``morse``, ``simulate``.
 Each ``cmd_*`` computes and checks, then returns its summary lines and
-its artifacts; it writes nothing.  ``main`` is the one writer: it prints
-the summary to stdout, then writes each requested artifact in
-``ARTIFACT_OPTIONS`` order.  ``--output -`` replaces the summary with the
-``--output`` artifact on stdout (the cells CSV or JSON, or the JSON of
-the other subcommands).  Every artifact path is checked before any
-computation, two artifacts may not share a destination, and nothing is
-written, on stdout or on disk, until every computation and check has
-passed.  Identical configurations produce byte identical output.  Exit
-code 0 means every requested computation finished and all internal
-consistency checks passed; an invalid run exits 1.
+its artifacts; it writes nothing, and renders no artifact that was not
+asked for: the DOT text is made under its flag, and the other artifacts
+are generators, or a ``map`` of ``report.dump_json``, that only writing
+drains.  ``main`` is the one writer: it prints the summary to stdout,
+then writes each requested artifact in ``ARTIFACT_OPTIONS`` order.
+``--output -`` replaces the summary with the ``--output`` artifact on
+stdout (the cells CSV or JSON, or the JSON of the other subcommands).
+Every artifact path is checked before any computation, two artifacts may
+not share a destination, and nothing is written, on stdout or on disk,
+until every computation and check has passed.  Identical configurations
+produce byte identical output.  Exit code 0 means every requested
+computation finished and all internal consistency checks passed; an
+invalid run exits 1.
 """
 
 from __future__ import annotations
@@ -119,7 +122,6 @@ def cmd_cells(args):
         artifact = report.cells_json(args.type, args.rank, cx)
     else:
         artifact = report.cells_csv(cx)
-    # Generators: an unrequested boundaries CSV is never laid out.
     return lines, {"output": artifact, "boundaries": report.boundaries_csv(cx)}
 
 
@@ -132,7 +134,7 @@ def cmd_homology(args):
     if euler_cells != euler_ranks:
         raise ConfigError("Euler characteristic mismatch between cells and homology")
     obj = report.homology_json_obj(args.type, args.rank, groups)
-    return report.homology_lines(groups), {"output": report.dump_json(obj)}
+    return report.homology_lines(groups), {"output": map(report.dump_json, [obj])}
 
 
 def _morse_gated(args) -> None:
@@ -218,7 +220,7 @@ def cmd_morse(args):
                 for row in obj["betti_table"]:
                     tag = " (conjecture)" if row["conjecture"] else ""
                     lines.append(f"betti_{row['k']} = {row['value']}{tag}")
-    artifacts["output"] = report.dump_json(obj)
+    artifacts["output"] = map(report.dump_json, [obj])
     return lines, artifacts
 
 
@@ -295,7 +297,7 @@ def cmd_simulate(args):
     else:
         lines = [f"no blow-up over [0, {args.tmax}]"]
     lines.append(f"max invariant drift: {drift:.3e}")
-    return lines, {"output": report.dump_json(summary), "trajectory": report.trajectory_csv(traj)}
+    return lines, {"output": map(report.dump_json, [summary]), "trajectory": report.trajectory_csv(traj)}
 
 
 def _invariants_may_overflow(rank: int, threshold: float) -> bool:

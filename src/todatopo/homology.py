@@ -3,16 +3,17 @@
 All arithmetic is on Python ints, so intermediate entry growth cannot
 overflow.  ``homology_of`` reduces a complex along its acyclic matching
 (``ChainComplex.matching``; for the cellular complex, the one the
-colored diagrams give): the boundary of each critical cell is pushed
-through the matched pairs, in the gradient order the matching lists
-them in, to the Morse differential between critical cells.  No filled
-Schur complement is ever formed.  Each Morse differential, or each full
-boundary of a complex with no matching, goes to ``invariant_factors``,
-which eliminates sparsely, in rounds that pivot on entries equal to the
-gcd of what is left.  When no entry equals that gcd, unimodular row and
-column steps make one that does.  ``_pivot`` is the one pivot loop and
-nothing is densified.  Each matrix is regrouped once, by ``_rows``, into
-row dicts and a column index that the pivot and stall steps keep.
+colored diagrams give): one sweep per degree carries the boundaries of
+all critical cells as rows and reads each matched pair once, in the
+gradient order the matching lists them in, leaving the Morse
+differential between critical cells.  No filled Schur complement is ever
+formed.  Each Morse differential, or each full boundary of a complex
+with no matching, goes to ``invariant_factors``, which eliminates
+sparsely, in rounds that pivot on entries equal to the gcd of what is
+left.  When no entry equals that gcd, unimodular row and column steps
+make one that does.  ``_pivot`` is the one pivot loop and nothing is
+densified.  Each matrix is regrouped once, by ``_rows``, into row dicts
+and a column index that the pivot and stall steps keep.
 """
 
 from __future__ import annotations
@@ -187,46 +188,44 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
 def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit_cols, crit_rows) -> IntMatrix:
     """The Morse differential of d_k from the critical cells of C_k to those of C_(k-1).
 
-    Each critical column x = d(s) is pushed through the pairs (t, p) of
-    C_(k-1) x C_k in the order ``pairs`` lists them: x -= (x_t / <d p, t>) d(p)
-    clears t, and only later pairs can enter.  What is left lies on critical
-    cells and on cells paired downward, which are dropped.  That order must
-    be a gradient order, every paired face of p other than t listed after t;
+    One sweep carries every critical column x = d(s) at once, as rows: row t
+    holds x_t for each critical column.  Each pair (t, p) of C_(k-1) x C_k
+    is read once, in the order ``pairs`` lists them, and clears row t into
+    the other rows of d(p): x -= (x_t / <d p, t>) d(p).  That order must be
+    a gradient order, every paired face of p other than t listed after t;
     an earlier one, as any cycle of gradient paths has, raises
-    ``CorruptComplexError``.
+    ``CorruptComplexError``.  Rows are kept only for critical cells and
+    cells paired upward: a cell paired downward feeds no pair.
     """
     columns = d.columns
-    seq = list(pairs)
-    order = {t: n for n, t in enumerate(seq)}
-    for n, t in enumerate(seq):
-        if any(order.get(t2, n) < n for t2 in columns[pairs[t]]):
-            raise CorruptComplexError(
-                "the matching is not listed in gradient order, or has a cycle of gradient paths"
-            )
     row_of = {t: n for n, t in enumerate(crit_rows)}
-    out = []
-    for s in crit_cols:
-        x = dict(columns[s])
-        heap = [order[t] for t in x if t in order]
-        heapq.heapify(heap)
-        while heap:
-            t = seq[heapq.heappop(heap)]
-            a = x.pop(t, 0)
-            if not a:
-                continue  # cancelled, or a second heap entry for t
-            col = columns[pairs[t]]
-            f = a * col[t]  # a / <d p, t>, as <d p, t> = +-1
-            for t2, v in col.items():
-                if t2 == t:
-                    continue
-                new = x.get(t2, 0) - f * v
-                if not new:
-                    del x[t2]
-                    continue
-                if t2 not in x and t2 in order:
-                    heapq.heappush(heap, order[t2])
-                x[t2] = new
-        out.append({row_of[t]: v for t, v in x.items() if t in row_of})
+    rows: dict[int, dict[int, int]] = {}  # cell of C_(k-1) -> {critical column: entry}
+    for j, s in enumerate(crit_cols):
+        for t, v in columns[s].items():
+            if t in pairs or t in row_of:
+                rows.setdefault(t, {})[j] = v
+    done = set()
+    for t, p in pairs.items():
+        col = columns[p]
+        if not done.isdisjoint(col):
+            raise CorruptComplexError("the matching is not listed in gradient order, "
+                                      "or has a cycle of gradient paths")
+        done.add(t)
+        row = rows.pop(t, None)
+        if not row:
+            continue  # nothing reaches t, or it cancelled
+        for t2, v in col.items():
+            if t2 != t and (t2 in pairs or t2 in row_of):
+                f = col[t] * v  # 1 / <d p, t> = <d p, t>, as it is +-1
+                row2 = rows.setdefault(t2, {})
+                for j, a in row.items():
+                    new = row2[j] = row2.get(j, 0) - f * a
+                    if not new:
+                        del row2[j]
+    out = [{} for _ in crit_cols]
+    for t, i in row_of.items():
+        for j, v in rows.get(t, {}).items():
+            out[j][i] = v
     return IntMatrix.from_columns(len(crit_rows), out)
 
 

@@ -262,7 +262,8 @@ def integrate(
     """Integrate for a duration t_max, recording every accepted step.
 
     Stops early at the first threshold crossing (or non-finite value) and
-    records a blow-up event whose time is bisected to 1e-6 resolution.
+    records a blow-up event whose time is bisected to 1e-6 resolution, or
+    at a step halved below the spacing of the times, with the event at t.
     The threshold must be positive; inf counts only non-finite values.  The
     start time must be finite; t_max and dt must change the run's float times.
     """
@@ -321,6 +322,9 @@ def integrate(
                         lo = mid
                 ba, bb = rk4(a, b, hi)
                 traj.blowup = BlowupEvent(t + hi, _worst_coordinate(ba, bb), threshold)
+                break
+            if t + h == t:  # halved below the spacing of the times: a row would repeat t
+                traj.blowup = BlowupEvent(t, _worst_coordinate(na, nb), threshold)
                 break
             m = max(map(abs, nb))
         t += h

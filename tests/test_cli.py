@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from todatopo import cli
+from todatopo import cli, report
 from todatopo.cli import build_parser, main
 from todatopo.errors import CorruptComplexError
 
@@ -194,6 +194,31 @@ class TestHomology:
         ranks = [g["free_rank"] for g in obj["groups"]]
         assert ranks == [1, 6, 5, 0]
         assert obj["groups"][1]["free_rank"] == 6
+
+
+class TestJsonRenderedOnlyWhenAsked:
+    ARGV = {
+        "homology": ["homology", "--rank", "2"],
+        "morse": ["morse", "--rank", "2"],
+        "simulate": ["simulate", "--rank", "2", "--signs=++", "--tmax", "0.1"],
+    }
+
+    @pytest.mark.parametrize("cmd", ARGV)
+    def test_dump_json_runs_only_for_output(self, capsys, tmp_path, monkeypatch, cmd):
+        rendered = []
+        dump_json = report.dump_json
+
+        def counting(obj):
+            rendered.append(dump_json(obj))
+            return rendered[-1]
+
+        monkeypatch.setattr(report, "dump_json", counting)
+        code, summary, _ = run(capsys, *self.ARGV[cmd])
+        assert code == 0 and rendered == []
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, *self.ARGV[cmd], "--output", str(path))
+        assert code == 0 and out == summary
+        assert len(rendered) == 1 and path.read_text() == rendered[0]
 
 
 class TestEnvironment:
@@ -485,8 +510,9 @@ class TestSimulate:
         assert cli._invariants_may_overflow(3, float(threshold)) == (threshold == "1e100")
 
     def test_overflowing_invariants_rejected(self, capsys, recwarn):
-        # The recorded states reach about 1e135, far below 1e300, yet tr X^3 and tr X^4 overflow.
-        code, out, err = run(capsys, "simulate", "--rank", "3", "--signs=-+-",
+        # At dt = 1 the halvings end on whole steps that reach about 1e172, far
+        # below 1e300, yet the invariants of those states overflow.
+        code, out, err = run(capsys, "simulate", "--rank", "3", "--signs=-+-", "--dt", "1",
                              "--threshold", "1e300", "--output", "-")
         assert code == 1
         assert out == ""

@@ -15,6 +15,7 @@ from todatopo import (
     homology_of,
     invariant_factors,
 )
+from todatopo import homology
 from todatopo.cells import ChainComplex
 
 
@@ -391,6 +392,31 @@ class TestReduction:
         recorded = {("A", 3): 69, ("B", 4): 3101, ("F", 4): 10060}
         if (letter, rank) in recorded:
             assert steps == recorded[letter, rank]
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
+    def test_morse_differentials(self, letter, rank, monkeypatch):
+        # The sweep's own output: d'_k maps the w with k descents to those with
+        # k - 1, d'_(k-1) d'_k = 0, d'_1 = 0, and every entry is even.
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        reduced = []
+        sweep = homology._morse_differential
+
+        def recording(*args):
+            reduced.append(sweep(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(homology, "_morse_differential", recording)
+        homology_of(build_chain_complex(W))
+        descents = [d.bit_count() for d in W._descents]
+        counts = [descents.count(k) for k in range(rank + 1)]
+        assert [(d.rows, d.cols) for d in reduced] == [(counts[k - 1], counts[k]) for k in range(1, rank + 1)]
+        assert reduced[0].is_zero()
+        for lower, upper in zip(reduced, reduced[1:]):
+            assert lower.matmul(upper).is_zero()
+        assert all(v % 2 == 0 for d in reduced for col in d.columns for v in col.values())
+        recorded = {("A", 2): 4, ("A", 3): 44, ("G", 2): 10}
+        if (letter, rank) in recorded:
+            assert sum(d.nnz for d in reduced) == recorded[letter, rank]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

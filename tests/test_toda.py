@@ -282,6 +282,9 @@ def _ref_integrate(a, b, t_max, dt, threshold=1e8):
                     lo = mid
             inv = [_ref_invariants(x, y) for x, y in zip(arows, brows)]
             return times, arows, brows, inv, (t + hi, _ref_coordinate(*_ref_rk4(a, b, hi))), halved
+        if t + h == t:
+            inv = [_ref_invariants(x, y) for x, y in zip(arows, brows)]
+            return times, arows, brows, inv, (t, _ref_coordinate(na, nb)), halved
         t += h
         a, b = na, nb
         times.append(t)
@@ -366,14 +369,25 @@ class TestAgainstNumpyReference:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_drift_passes_over_nan_rows(self):
-        # With threshold=inf the run goes on until a step overflows; the powers
-        # of X of the last recorded row overflow and its invariants hold NaN.
-        traj, _ = self.check((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 5.0, 1e-3, math.inf)
+        # With threshold=inf and dt = 1 the run goes on until a step overflows:
+        # the 48 halvings of a unit step end above the spacing of the times, so
+        # the last steps are taken whole.  The powers of X of the last recorded
+        # row overflow and its invariants hold NaN.
+        traj, _ = self.check((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 5.0, 1.0, math.inf)
         assert np.isnan(traj.invariants[-1]).any()
         first = np.asarray(traj.invariants[0])
         expected = max(np.max(np.abs(np.asarray(row) - first)) for row in traj.invariants)
         assert math.isfinite(expected)
         assert traj.max_invariant_drift() == expected
+
+    @pytest.mark.parametrize("a,b", [((0.0,), (-1.0,)), ((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0))],
+                             ids=["rank-1", "rank-3"])
+    def test_no_time_repeats_near_the_pole(self, a, b):
+        # Halving at dt = 1e-3 reaches steps below the spacing of the times
+        # before any step overflows; the run ends there, at the last time.
+        traj, _ = self.check(a, b, 5.0, 1e-3, math.inf)
+        assert all(s < t for s, t in zip(traj.times, traj.times[1:]))
+        assert traj.blowup is not None and traj.blowup.time == traj.times[-1]
 
     @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (4, 1)])
     def test_invariant_block_edge(self, blocks, extra):
@@ -405,9 +419,8 @@ class TestThreshold:
         with pytest.raises(ConfigError, match="threshold must be positive"):
             integrate(TodaState((0.0,), (1.0,)), 1.0, 1e-3, threshold=threshold)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_inf_counts_only_non_finite(self):
-        # The b's grow until a step overflows, so the last recorded powers of X overflow too.
+        # No threshold is crossed: the run ends where a halved step stops advancing t.
         traj = integrate(TodaState((0.0,), (-1.0,)), 5.0, 1e-3, threshold=math.inf)
         assert traj.blowup is not None
         assert traj.blowup.time == pytest.approx(math.pi / 2, abs=1e-3)
