@@ -1,12 +1,14 @@
 """Cartan matrices and finite Weyl groups.
 
-The group is enumerated once on the orbit of rho, on which it acts
-simply transitively; after that an element is its position in the
-(length, word) order, and products, inverses and coset representatives
-are walks along one table of right multiplications by simple
-reflections.  Each element keeps its length and its lexicographically
-smallest reduced word, the canonical serialized form.  Simple roots are one-indexed throughout the
-public API and node numbering follows the Bourbaki tables.
+The group is enumerated once, by a breadth-first search on the orbit of
+rho, on which it acts simply transitively; the search finds the elements
+in (length, word) order, and an element is its position in that order.
+Products, inverses and coset representatives are walks along one table
+of right multiplications by simple reflections.  Each element keeps its
+length and its lexicographically smallest reduced word, the canonical
+serialized form.  Simple roots are one-indexed throughout the public API
+(an index outside 1..rank raises ``NotInSubgroupError``) and node
+numbering follows the Bourbaki tables.
 
 The convention for the matrix is ``entry(i, j) = <alpha_i, coroot(alpha_j)>``,
 so a simple reflection acts on simple roots by
@@ -208,10 +210,11 @@ def _mask(S) -> int:
 class WeylGroup(Sequence):
     """Fully enumerated finite Weyl group of a Cartan matrix.
 
-    Behaves as an immutable sequence of :class:`WeylElement`, sorted by
-    (length, word).  For positions w in that order, ``_right[w][i]`` is the
-    position of w * s_(i+1), and bit i of ``_descents[w]`` is set when that
-    product is shorter than w.
+    Behaves as an immutable sequence of :class:`WeylElement` in the order
+    in which the search on the orbit of rho finds them, which is the
+    (length, word) order.  For positions w in that order, ``_right[w][i]``
+    is the position of w * s_(i+1), and bit i of ``_descents[w]`` is set
+    when that product is shorter than w.
 
     The enumeration cap ``max_order`` defaults to the integer in the
     ``TODATOPO_MAX_WEYL_ORDER`` environment variable, else to 51840; a cap
@@ -237,11 +240,15 @@ class WeylGroup(Sequence):
         # v = w^-1 rho in fundamental-weight coordinates, rho = (1, ..., 1).
         # (w s_i)^-1 rho = s_i v has v'_j = v_j - v_i * C[i][j]; bit i is a right
         # descent of w iff v_i < 0, and an element's BFS depth is its length.
-        orbit, lengths, words, right, descents = [(1,) * l], [0], [()], [], []
+        # By induction on length, the search finds the elements in (length, word)
+        # order: x of length k is first found from the earliest-listed w with
+        # x = w s_i, whose word is the smallest among x's descents, so the smallest
+        # word of x is word(w) + (i,), and x comes after every smaller such word.
+        orbit, words, right, descents = [(1,) * l], [()], [], []
         found = {orbit[0]: 0}
         for k, v in enumerate(orbit):
             row = []
-            for vi, ci in zip(v, entries):
+            for i, (vi, ci) in enumerate(zip(v, entries)):
                 q = tuple(x - vi * c for x, c in zip(v, ci))
                 j = found.get(q)
                 if j is None:
@@ -252,27 +259,14 @@ class WeylGroup(Sequence):
                         )
                     j = found[q] = len(orbit)
                     orbit.append(q)
-                    lengths.append(lengths[k] + 1)
+                    words.append(words[k] + (i + 1,))
                 row.append(j)
-            right.append(row)
-            down = [i for i in range(l) if v[i] < 0]
-            descents.append(sum(1 << i for i in down))
-            if k:
-                # Dropping the last letter of the smallest reduced word leaves
-                # the smallest word of w * s_i for a right descent i.
-                words.append(min(words[row[i]] + (i + 1,) for i in down))
-
-        # Free the orbit keys before the sort, and the unsorted table once it is
-        # rebuilt: kept alive, they would set the peak memory of a large group.
-        del found, orbit
-        order = sorted(range(len(words)), key=lambda k: (lengths[k], words[k]))
-        pos = {k: n for n, k in enumerate(order)}
-        self._right = tuple(tuple(pos[j] for j in right[k]) for k in order)
-        del right, pos
-        self._descents = tuple(descents[k] for k in order)
-        self.elements = tuple(
-            WeylElement(self, words[k], lengths[k], n) for n, k in enumerate(order)
-        )
+            right.append(tuple(row))
+            descents.append(sum(1 << i for i, x in enumerate(v) if x < 0))
+        del found, orbit  # not kept: freed here, they do not add to the build's peak
+        self._right = tuple(right)
+        self._descents = tuple(descents)
+        self.elements = tuple(WeylElement(self, w, len(w), n) for n, w in enumerate(words))
         self.identity = self.elements[0]
         self.longest_element = self.elements[-1]
 
@@ -293,8 +287,17 @@ class WeylGroup(Sequence):
     def rank(self) -> int:
         return self.cartan.rank
 
+    def _letters(self, S) -> list[int]:
+        """The indices of S as ints, each checked to be a simple-root index 1..rank."""
+        letters = []
+        for i in S:
+            if i not in range(1, self.rank + 1):  # compares values: 1.5 is not in it
+                raise NotInSubgroupError(f"simple-root index {i!r} out of range 1..{self.rank}")
+            letters.append(int(i))
+        return letters
+
     def simple_reflection(self, i: int) -> WeylElement:
-        return self.elements[self._right[0][i - 1]]
+        return self.from_word((i,))
 
     def _walk(self, w: int, letters) -> int:
         """Position of w * s_(i_1) * ... * s_(i_k) for one-based letters."""
@@ -310,19 +313,16 @@ class WeylGroup(Sequence):
         return self.elements[self._walk(0, reversed(u.word))]
 
     def from_word(self, letters) -> WeylElement:
-        return self.elements[self._walk(0, letters)]
+        return self.elements[self._walk(0, self._letters(letters))]
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
-        return bool(self._descents[w.position] >> (i - 1) & 1)
+        return bool(self._descents[w.position] & _mask(self._letters((i,))))
 
     # -- parabolic machinery -------------------------------------------------
 
     def parabolic_elements(self, S) -> tuple[WeylElement, ...]:
         """Elements of W_S (reduced words in letters of S), canonical order."""
-        letters = set(S)
-        for i in sorted(letters):
-            if not 1 <= i <= self.rank:
-                raise NotInSubgroupError(f"simple-root index {i} out of range")
+        letters = set(self._letters(S))
         return tuple(w for w in self.elements if letters.issuperset(w.word))
 
     def parabolic_order(self, S) -> int:
@@ -341,11 +341,11 @@ class WeylGroup(Sequence):
 
     def min_coset_rep(self, w: WeylElement, S) -> WeylElement:
         """Minimal-length representative of the left coset w * W_S."""
-        return self.elements[self._coset_walk(w.position, _mask(S))[0]]
+        return self.elements[self._coset_walk(w.position, _mask(self._letters(S)))[0]]
 
     def coset_min_reps(self, S) -> tuple[WeylElement, ...]:
         """Minimal representatives of W / W_S (no right descent in S), canonical order."""
-        mask = _mask(S)
+        mask = _mask(self._letters(S))
         return tuple(w for w in self.elements if not self._descents[w.position] & mask)
 
 

@@ -10,15 +10,17 @@ blow-up.
 
 Integration is fixed-step classical Runge-Kutta with local step halving
 when the b's grow too fast, plus bisection refinement of the first
-threshold crossing when the trajectory escapes.  The steps run on tuples
-of Python floats, through one straight-line function per rank that is
-generated as source and compiled on first use: on 1-16 coordinates the
-calls and temporaries of a loop cost more than the arithmetic.  Each
-coordinate keeps the operation order of the numpy vector expressions, so
-every step gives the same floats as they do.  The Chevalley invariants of
-the recorded states are computed after the loop, on stacks of Lax
-matrices a block of rows at a time.  Everything is deterministic; there
-is no randomness anywhere.
+threshold crossing when the trajectory escapes.  One rule stops the
+halving: a step is halved while its b's more than double and it still
+advances t, and a halved step that no longer advances t ends the run.
+The steps run on tuples of Python floats, through one straight-line
+function per rank that is generated as source and compiled on first use:
+on 1-16 coordinates the calls and temporaries of a loop cost more than
+the arithmetic.  Each coordinate keeps the operation order of the numpy
+vector expressions, so every step gives the same floats as they do.  The
+Chevalley invariants of the recorded states are computed after the loop,
+on stacks of Lax matrices a block of rows at a time.  Everything is
+deterministic; there is no randomness anywhere.
 
 Most steps need neither halving nor bisection, and `integrate` accepts
 them after one test: the sum of the new coordinates is finite, the
@@ -53,7 +55,6 @@ if TYPE_CHECKING:
 
 DEFAULT_THRESHOLD = 1e8
 BLOWUP_TIME_RESOLUTION = 1e-6
-_HALVING_LIMIT = 48
 _HALVING_FLOOR = 1.0  # only chase doublings once the b's are this large
 _INVARIANT_BLOCK = 64  # rows per matrix stack in _invariant_rows; bounds its temporaries
 
@@ -263,7 +264,8 @@ def integrate(
 
     Stops early at the first threshold crossing (or non-finite value) and
     records a blow-up event whose time is bisected to 1e-6 resolution, or
-    at a step halved below the spacing of the times, with the event at t.
+    at t when the halving reaches a step that no longer advances t (at
+    t = 0, a step of 0), with the event at t.
     The threshold must be positive; inf counts only non-finite values.  The
     start time must be finite; t_max and dt must change the run's float times.
     """
@@ -302,14 +304,8 @@ def integrate(
             and m <= threshold
             and max(map(abs, na)) <= threshold
         ):
-            halvings = 0
-            while (
-                halvings < _HALVING_LIMIT
-                and (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale)
-                and h > 0
-            ):
+            while (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale) and t + h > t:
                 h *= 0.5
-                halvings += 1
                 na, nb = rk4(a, b, h)
             if _exceeds(na, nb, threshold):
                 lo, hi = 0.0, h

@@ -510,10 +510,9 @@ class TestSimulate:
         assert cli._invariants_may_overflow(3, float(threshold)) == (threshold == "1e100")
 
     def test_overflowing_invariants_rejected(self, capsys, recwarn):
-        # At dt = 1 the halvings end on whole steps that reach about 1e172, far
-        # below 1e300, yet the invariants of those states overflow.
-        code, out, err = run(capsys, "simulate", "--rank", "3", "--signs=-+-", "--dt", "1",
-                             "--threshold", "1e300", "--output", "-")
+        # The start point is far below 1e300, yet the invariants of its state overflow.
+        code, out, err = run(capsys, "simulate", "--rank", "3", "--signs=-+-",
+                             "--b0=-1e100,1e100,-1e100", "--threshold", "1e300", "--output", "-")
         assert code == 1
         assert out == ""
         assert err == "error: the Chevalley invariants overflow below the threshold 1e+300; lower --threshold\n"

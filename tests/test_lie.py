@@ -7,6 +7,7 @@ from todatopo import (
     ConfigError,
     GroupOrderCapError,
     InvalidCartanMatrixError,
+    NotInSubgroupError,
     UnsupportedTypeError,
     cartan_matrix,
     generate_weyl_group,
@@ -14,6 +15,8 @@ from todatopo import (
     min_coset_rep,
 )
 from todatopo.lie import DEFAULT_MAX_ORDER, WeylGroup
+
+from test_homology import LIE_TYPES
 
 
 def dense(C):
@@ -331,3 +334,43 @@ class TestCosets:
                 assert order % W_B3.parabolic_order(S) == 0
         assert W_B3.parabolic_order(()) == 1
         assert W_B3.parabolic_order((1, 2, 3)) == order
+
+
+class TestSearchOrder:
+    """The breadth-first search lists the elements in (length, word) order."""
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES + [
+        pytest.param(t, r, marks=pytest.mark.slow) for t, r in [("A", 6), ("D", 6), ("E", 6)]
+    ])
+    def test_positions_follow_length_and_smallest_word(self, letter, rank):
+        W = WeylGroup(cartan_matrix(letter, rank), max_order=51840)
+        keys = [(w.length, w.word) for w in W]
+        assert all(p < q for p, q in zip(keys, keys[1:]))
+        assert [w.position for w in W] == list(range(len(W)))
+        for w in W[1:]:
+            down = [i for i in range(1, rank + 1) if W.sends_simple_root_negative(w, i)]
+            assert w.word == min(W.multiply(w, W.simple_reflection(i)).word + (i,) for i in down)
+
+
+class TestSimpleRootIndices:
+    """Every public method rejects an index outside 1..rank with NotInSubgroupError."""
+
+    CALLS = {
+        "simple_reflection": lambda W, w, i: W.simple_reflection(i),
+        "from_word": lambda W, w, i: W.from_word((1, i)),
+        "sends_simple_root_negative": lambda W, w, i: W.sends_simple_root_negative(w, i),
+        "parabolic_elements": lambda W, w, i: W.parabolic_elements((1, i)),
+        "parabolic_order": lambda W, w, i: W.parabolic_order((i,)),
+        "min_coset_rep": lambda W, w, i: W.min_coset_rep(w, (i,)),
+        "coset_min_reps": lambda W, w, i: W.coset_min_reps((i,)),
+        "module min_coset_rep": lambda W, w, i: min_coset_rep(w, (1, i)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("index", [0, -1, 4, 1.5])
+    def test_out_of_range_rejected(self, W_A3, call, index):
+        with pytest.raises(NotInSubgroupError, match=f"simple-root index {index} out of range 1..3"):
+            self.CALLS[call](W_A3, W_A3.longest_element, index)
+
+    def test_integral_values_accepted(self, W_A3):
+        assert W_A3.simple_reflection(2.0) is W_A3.from_word([2])
