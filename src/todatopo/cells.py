@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import ConfigError, CorruptComplexError, NotInSubgroupError
+from .errors import ConfigError, CorruptComplexError, NotInSubgroupError, checked_index
 from .lie import CartanMatrix, WeylElement, WeylGroup
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
@@ -79,11 +79,9 @@ class ColoredDynkinDiagram:
     def from_map(cls, rank, eta):
         mask = red = 0
         for v, s in dict(eta).items():
-            if v not in range(1, rank + 1):  # compares values: 1.5 is not in it
-                raise ConfigError(f"colored vertex {v} out of range 1..{rank}")
+            v = checked_index(v, 1, rank, "colored vertex")
             if s not in (RED, BLUE):
                 raise ConfigError("colors must be +1 (Blue) or -1 (Red)")
-            v = int(v)
             mask |= 1 << (v - 1)
             if s == RED:
                 red |= 1 << (v - 1)
@@ -168,10 +166,8 @@ def diagram_boundary(
     Returns ``((-1) ** (j + c + 1), new diagram)``.
     """
     uncolored = diagram.uncolored
-    if not 1 <= j <= len(uncolored):
-        raise ConfigError(f"boundary index {j} out of range 1..{len(uncolored)}")
-    if c not in (1, 2):
-        raise ConfigError("color index must be 1 (Red) or 2 (Blue)")
+    j = checked_index(j, 1, len(uncolored), "boundary index")
+    c = checked_index(c, 1, 2, "color index")
     bit = 1 << (uncolored[j - 1] - 1)
     red = diagram.red | bit if c == 1 else diagram.red
     return (-1) ** (j + c + 1), ColoredDynkinDiagram(diagram.rank, diagram.mask | bit, red)
@@ -185,8 +181,7 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     (length, word).  The count is ``sum over |S|=codim of 2^codim * |W| / |W_S|``.
     """
     l = W.rank
-    if not 0 <= codim <= l:
-        raise ConfigError(f"codimension {codim} out of range 0..{l}")
+    codim = checked_index(codim, 0, l, "codimension")
     out = []
     for S in combinations(range(1, l + 1), codim):
         reps = W.coset_min_reps(S)
@@ -200,6 +195,7 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
 
 def cell_count_formula(W: WeylGroup, codim: int) -> int:
     l = W.rank
+    codim = checked_index(codim, 0, l, "codimension")
     return sum(
         2**codim * len(W) // W.parabolic_order(S)
         for S in combinations(range(1, l + 1), codim)
@@ -219,9 +215,8 @@ class ChainComplex:
     ``homology_of`` need not search for pivots.  Each ``matching[k]``
     lists its pairs in a gradient order: every face of a partner that is
     paired upward, other than the partner's own, is listed later.
-    Construction checks the shapes, the square-zero identity and that each
-    pair is joined by +-1 with no cell in two pairs; the order, which no
-    matching with a cycle has, is checked where the matching is read.
+    Construction checks the shapes and the square-zero identity; the
+    matching is checked where it is read, by ``homology_of``.
     """
 
     bases: tuple[tuple, ...]
@@ -237,28 +232,7 @@ class ChainComplex:
             want_rows = len(self.bases[k - 1]) if k > 0 else 0
             if mat.rows != want_rows:
                 raise CorruptComplexError(f"boundary {k} has wrong row count")
-        self._check_matching()
         self.validate()
-
-    def _check_matching(self) -> None:
-        if not self.matching:
-            return
-        if len(self.matching) != self.top_degree:
-            raise CorruptComplexError("matching needs one dict per degree below the top")
-        below: set[int] = set()  # cells of C_k paired downward
-        for k, pairs in enumerate(self.matching):
-            columns = self.boundaries[k + 1].columns
-            if not below.isdisjoint(pairs):
-                raise CorruptComplexError(f"a cell of degree {k} is in two pairs")
-            below = set(pairs.values())
-            if len(below) != len(pairs):
-                raise CorruptComplexError(f"a cell of degree {k + 1} is in two pairs")
-            if pairs and not (0 <= min(pairs) and max(pairs) < len(self.bases[k])):
-                raise CorruptComplexError(f"a matched cell is not a cell of degree {k}")
-            if below and not (0 <= min(below) and max(below) < len(columns)):
-                raise CorruptComplexError(f"a partner is not a cell of degree {k + 1}")
-            if not {columns[p].get(t) for t, p in pairs.items()} <= {1, -1}:
-                raise CorruptComplexError(f"a pair of degrees {k}, {k + 1} is not joined by +-1")
 
     @property
     def top_degree(self) -> int:

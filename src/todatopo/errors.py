@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``checked_index``, its one index check."""
 
 
 class TodatopoError(Exception):
@@ -35,3 +35,10 @@ class RankGateError(TodatopoError):
 
 class ConfigError(TodatopoError):
     """Invalid run configuration."""
+
+
+def checked_index(i, lo: int, hi: int, what: str, error: type = ConfigError) -> int:
+    """``i`` as an int in lo..hi; otherwise raise ``error("<what> <i> out of range lo..hi")``."""
+    if i not in range(lo, hi + 1):  # compares values: 1.5 is not in it, 2.0 is
+        raise error(f"{what} {i} out of range {lo}..{hi}")
+    return int(i)

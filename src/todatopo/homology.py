@@ -35,9 +35,11 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise ValueError(f"free rank must be an int >= 0, got {self.free_rank!r}")
         for i, d in enumerate(self.torsion):
-            if d < 2:
-                raise ValueError("torsion invariant factors must be >= 2")
+            if not isinstance(d, int) or d < 2:
+                raise ValueError("torsion invariant factors must be ints >= 2")
             if i and d % self.torsion[i - 1] != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
@@ -185,19 +187,21 @@ def invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit_cols, crit_rows) -> IntMatrix:
-    """The Morse differential of d_k from the critical cells of C_k to those of C_(k-1).
+def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit, k: int) -> IntMatrix:
+    """The Morse differential of d = d_k from the critical cells crit[k] to crit[k-1].
 
     One sweep carries every critical column x = d(s) at once, as rows: row t
     holds x_t for each critical column.  Each pair (t, p) of C_(k-1) x C_k
     is read once, in the order ``pairs`` lists them, and clears row t into
-    the other rows of d(p): x -= (x_t / <d p, t>) d(p).  That order must be
-    a gradient order, every paired face of p other than t listed after t;
-    an earlier one, as any cycle of gradient paths has, raises
-    ``CorruptComplexError``.  Rows are kept only for critical cells and
-    cells paired upward: a cell paired downward feeds no pair.
+    the other rows of d(p): x -= (x_t / <d p, t>) d(p).  A pair whose entry
+    <d p, t> is not +-1 raises ``CorruptComplexError``.  So does a pair
+    listed out of gradient order, which needs every paired face of p other
+    than t listed after t; any cycle of gradient paths lists one earlier.
+    Rows are kept only for critical cells and cells paired upward: a cell
+    paired downward feeds no pair.
     """
     columns = d.columns
+    crit_cols, crit_rows = crit[k], crit[k - 1]
     row_of = {t: n for n, t in enumerate(crit_rows)}
     rows: dict[int, dict[int, int]] = {}  # cell of C_(k-1) -> {critical column: entry}
     for j, s in enumerate(crit_cols):
@@ -207,6 +211,8 @@ def _morse_differential(d: IntMatrix, pairs: dict[int, int], crit_cols, crit_row
     done = set()
     for t, p in pairs.items():
         col = columns[p]
+        if col.get(t) not in (1, -1):
+            raise CorruptComplexError(f"a pair of degrees {k - 1}, {k} is not joined by +-1")
         if not done.isdisjoint(col):
             raise CorruptComplexError("the matching is not listed in gradient order, "
                                       "or has a cycle of gradient paths")
@@ -241,25 +247,36 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     the homology of the original.  When no cell of C_k or C_(k-1) is
     paired, d'_k is d_k itself.  With crit_k the critical cells of C_k,
     H_k = Z^(crit_k - rank d'_k - rank d'_(k+1)) plus the factors > 1 of
-    d'_(k+1).  A matching whose pairs are not listed in gradient order, as
-    none can be when it has a cycle, raises ``CorruptComplexError``.
+    d'_(k+1).
 
-    The complex checked the square-zero identity and the pairs' +-1
-    entries when it was built.
+    The matching is checked here, where it is read: one dict per degree
+    below the top, pairs of cells that exist, no cell in two pairs, each
+    pair joined by +-1 and listed in gradient order (none is when the
+    matching has a cycle); a failure raises ``CorruptComplexError``.
     """
     top = cx.top_degree
     matching = cx.matching or ({},) * top
+    if len(matching) != top:
+        raise CorruptComplexError("matching needs one dict per degree below the top")
     crit = []
+    down = ()  # cells of C_k paired downward: the partners of matching[k - 1]
     for k in range(top + 1):
-        paired = set(matching[k]) if k < top else set()
-        if k:
-            paired.update(matching[k - 1].values())
-        crit.append([c for c in range(cx.rank(k)) if c not in paired])
+        up = matching[k] if k < top else {}
+        paired = {*up, *down}
+        if len(paired) < len(up) + len(down):
+            raise CorruptComplexError(f"a cell of degree {k} is in two pairs")
+        n = cx.rank(k)
+        if up and not (0 <= min(up) and max(up) < n):
+            raise CorruptComplexError(f"a matched cell is not a cell of degree {k}")
+        if down and not (0 <= min(down) and max(down) < n):
+            raise CorruptComplexError(f"a partner is not a cell of degree {k}")
+        crit.append([c for c in range(n) if c not in paired])
+        down = up.values()
     factors = [()] * (top + 2)
     for k in range(1, top + 1):
         d = cx.boundary(k)
         if len(crit[k]) < d.cols or len(crit[k - 1]) < d.rows:
-            d = _morse_differential(d, matching[k - 1], crit[k], crit[k - 1])
+            d = _morse_differential(d, matching[k - 1], crit, k)
         factors[k] = invariant_factors(d)
     return [
         HomologyGroup(len(crit[k]) - len(factors[k]) - len(factors[k + 1]),

@@ -28,6 +28,7 @@ from .errors import (
     InvalidCartanMatrixError,
     NotInSubgroupError,
     UnsupportedTypeError,
+    checked_index,
 )
 
 DEFAULT_MAX_ORDER = 51840
@@ -289,12 +290,7 @@ class WeylGroup(Sequence):
 
     def _letters(self, S) -> list[int]:
         """The indices of S as ints, each checked to be a simple-root index 1..rank."""
-        letters = []
-        for i in S:
-            if i not in range(1, self.rank + 1):  # compares values: 1.5 is not in it
-                raise NotInSubgroupError(f"simple-root index {i!r} out of range 1..{self.rank}")
-            letters.append(int(i))
-        return letters
+        return [checked_index(i, 1, self.rank, "simple-root index", NotInSubgroupError) for i in S]
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self.from_word((i,))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from types import MappingProxyType
 
 
@@ -24,11 +25,13 @@ class IntMatrix:
         """Validating constructor from a ``(row, col) -> value`` mapping."""
         columns = tuple({} for _ in range(cols))
         for (r, c), v in (entries or {}).items():
+            if not all(isinstance(x, Integral) for x in (r, c, v)):  # 1.5 and 2.0 are not
+                raise ValueError(f"entry ({r},{c}) = {v!r}: indices and values must be integers")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
             if v == 0:
                 raise ValueError("stored entries must be nonzero")
-            columns[c][r] = v
+            columns[c][r] = int(v)
         self._set(rows, columns)
 
     @classmethod
@@ -58,6 +61,8 @@ class IntMatrix:
             if len(row) != cols:
                 raise ValueError("ragged dense matrix")
             for c, v in enumerate(row):
+                if not isinstance(v, Integral):  # 1.5 and 2.0 are not
+                    raise ValueError(f"dense entry {v!r} is not an integer")
                 if v:
                     columns[c][r] = int(v)
         return cls.from_columns(rows, columns)

@@ -12,7 +12,7 @@ it on colored coordinates S, where it also gives an orientation sign (1 for S = 
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_index
 from .lie import CartanMatrix, WeylElement
 
 
@@ -59,11 +59,9 @@ def _act(letters, S: int, red: int, odd) -> tuple[int, int]:
 def _apply(letters, eps, C: CartanMatrix) -> tuple[int, ...]:
     """Sign vector after one-based letters, first letter first."""
     eps = validate_signs(eps, C.rank)
-    for i in letters:
-        if i not in range(1, C.rank + 1):
-            raise ConfigError(f"simple-root index {i} out of range 1..{C.rank}")
+    letters = [checked_index(i, 1, C.rank, "simple-root index") - 1 for i in letters]
     red = sum(1 << j for j, e in enumerate(eps) if e == -1)
-    red = _act([int(i) - 1 for i in letters], (1 << C.rank) - 1, red, _odd_columns(C))[1]
+    red = _act(letters, (1 << C.rank) - 1, red, _odd_columns(C))[1]
     return tuple(-1 if red >> j & 1 else 1 for j in range(C.rank))
 
 

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, checked_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,11 +153,14 @@ def _floats(xs) -> tuple:
 
 
 def step(state: TodaState, dt: float) -> TodaState:
-    """One classical Runge-Kutta step; negative dt integrates backwards."""
+    """One classical Runge-Kutta step; a negative dt integrates backwards, and t + dt must not be t."""
     if dt == 0 or not math.isfinite(dt):
         raise ConfigError(f"dt must be nonzero and finite, got {dt}")
     if not math.isfinite(state.t):
         raise ConfigError(f"the start time must be finite, got {state.t}")
+    if state.t + dt == state.t:
+        raise ConfigError(f"dt = {dt} is below the resolution of the start time t = {state.t}: "
+                          "the step would not advance t")
     a = _floats(state.a)
     na, nb = _rk4_kernel(len(a))(a, _floats(state.b), dt)
     return TodaState(na, nb, state.t + dt)
@@ -196,10 +199,7 @@ def eigenvalues(state: TodaState) -> np.ndarray:
 
 def subsystem(state: TodaState, A) -> TodaState:
     """Zero the b's indexed by A (one-based); the flow then freezes them."""
-    idx = set(A)
-    for i in idx:
-        if i not in range(1, state.rank + 1):  # compares values: 1.7 is not in it
-            raise ConfigError(f"subsystem index {i} out of range 1..{state.rank}")
+    idx = {checked_index(i, 1, state.rank, "subsystem index") for i in A}
     b = tuple(0.0 if (i + 1) in idx else x for i, x in enumerate(state.b))
     return TodaState(state.a, b, state.t)
 

@@ -4,6 +4,7 @@ import types
 import pytest
 
 import todatopo
+from todatopo.cells import cell_count_formula
 
 
 class TestPublicNames:
@@ -54,8 +55,25 @@ class TestPublicNames:
      todatopo.InvalidCartanMatrixError),
     (lambda: todatopo.CartanMatrix.from_entries([[2, math.inf], [-1, 2]]),
      todatopo.InvalidCartanMatrixError),
+    # These raised a TypeError or a bare ValueError, returned 0, or kept the value as given.
+    (lambda: todatopo.diagram_boundary(todatopo.ColoredDynkinDiagram(2), 1.5, 1),
+     todatopo.ConfigError),
+    (lambda: todatopo.enumerate_cells(todatopo.generate_weyl_group(todatopo.cartan_matrix("A", 2)), 1.5),
+     todatopo.ConfigError),
+    (lambda: cell_count_formula(todatopo.generate_weyl_group(todatopo.cartan_matrix("A", 3)), 7),
+     todatopo.ConfigError),
+    (lambda: cell_count_formula(todatopo.generate_weyl_group(todatopo.cartan_matrix("A", 3)), -1),
+     todatopo.ConfigError),
+    (lambda: todatopo.IntMatrix.from_dense([[1.5, 0], [0, 2]]), ValueError),
+    (lambda: todatopo.IntMatrix(2, 2, {(0, 0): 1.5}), ValueError),
+    (lambda: todatopo.IntMatrix(2, 2, {(0.5, 0): 1}), ValueError),
+    (lambda: todatopo.HomologyGroup(-3), ValueError),
+    (lambda: todatopo.HomologyGroup(1.5), ValueError),
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
-       "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf"])
+       "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
+       "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
+       "cell_count_formula-negative", "from_dense", "IntMatrix-value", "IntMatrix-index",
+       "HomologyGroup-negative", "HomologyGroup-float"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

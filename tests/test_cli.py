@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +376,24 @@ class TestTypeLetterCase:
         lower = run(capsys, *argv, "--type", "a", *tail)
         assert upper[0] == 0
         assert lower == upper
+
+
+class TestReadme:
+    def test_examples_print_what_the_readme_shows(self, capsys):
+        # Each "$ todatopo ..." example prints exactly the lines under it, and
+        # the Library snippet runs and prints the A2 groups.
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```", text, re.M | re.S)
+        examples = [ex for lang, body in blocks if not lang
+                    for ex in body.strip().split("\n\n") if ex.startswith("$ todatopo ")]
+        assert len(examples) == 4
+        for example in examples:
+            command, *want = example.splitlines()
+            code, out, err = run(capsys, *shlex.split(command)[2:])
+            assert (code, out.splitlines(), err) == (0, want, ""), command
+        snippet = next(body for lang, body in blocks if lang == "python")
+        exec(snippet, {})
+        assert capsys.readouterr().out == "0 Z\n1 Z^3 + Z/2\n2 0\n"
 
 
 class TestSimulate:

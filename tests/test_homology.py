@@ -191,35 +191,35 @@ class TestHomology:
 
     def test_matched_pair_joined_by_two_rejected(self):
         with pytest.raises(CorruptComplexError, match="not joined by"):
-            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), IntMatrix(1, 1, {(0, 0): 2})),
-                         ({0: 0},))
+            homology_of(ChainComplex(((0,), (0,)),
+                                     (IntMatrix(0, 1, {}), IntMatrix(1, 1, {(0, 0): 2})), ({0: 0},)))
 
     def test_cell_in_two_pairs_rejected(self):
         d1 = IntMatrix(2, 1, {(0, 0): 1, (1, 0): -1})  # both points of C_0 onto one edge
         with pytest.raises(CorruptComplexError, match="two pairs"):
-            ChainComplex(((0, 1), (0,)), (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 0},))
+            homology_of(ChainComplex(((0, 1), (0,)), (IntMatrix(0, 2, {}), d1), ({0: 0, 1: 0},)))
         # an edge paired with the point below it and the face above it
         d1 = IntMatrix(1, 2, {(0, 0): 1, (0, 1): -1})
         d2 = IntMatrix(2, 1, {(0, 0): 1, (1, 0): 1})
         with pytest.raises(CorruptComplexError, match="two pairs"):
-            ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1, {}), d1, d2), ({0: 0}, {0: 0}))
+            homology_of(ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1, {}), d1, d2), ({0: 0}, {0: 0})))
 
     def test_matching_of_wrong_length_rejected(self):
         d1 = IntMatrix(1, 1, {(0, 0): 1})
         with pytest.raises(CorruptComplexError, match="one dict per degree below the top"):
-            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: 0}, {}))
+            homology_of(ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: 0}, {})))
 
     @pytest.mark.parametrize("partner", [1, -1])
     def test_partner_out_of_range_rejected(self, partner):
         d1 = IntMatrix(1, 1, {(0, 0): 1})
         with pytest.raises(CorruptComplexError, match="a partner is not a cell of degree 1"):
-            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: partner},))
+            homology_of(ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({0: partner},)))
 
     @pytest.mark.parametrize("cell", [5, -1])
     def test_matched_cell_out_of_range_rejected(self, cell):
         d1 = IntMatrix(1, 1, {(0, 0): 1})
         with pytest.raises(CorruptComplexError, match="a matched cell is not a cell of degree 0"):
-            ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({cell: 0},))
+            homology_of(ChainComplex(((0,), (0,)), (IntMatrix(0, 1, {}), d1), ({cell: 0},)))
 
     def test_cyclic_matching_rejected(self):
         # d a = d b = x + y, pairs x-a and y-b: x -> a -> y -> b -> x is a gradient cycle

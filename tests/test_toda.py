@@ -97,6 +97,12 @@ class TestStep:
         with pytest.raises(ConfigError, match="start time must be finite"):
             step(TodaState((0.0,), (1.0,), t0), 0.1)
 
+    @pytest.mark.parametrize("t0,dt", [(1.0, 1e-300), (1e17, 1e-3), (-1.0, -1e-300)])
+    def test_dt_below_the_resolution_of_t_rejected(self, t0, dt):
+        # t0 + dt == t0: the step would return a state at its own start time
+        with pytest.raises(ConfigError, match="would not advance t"):
+            step(TodaState((0.0,), (1.0,), t0), dt)
+
 
 class TestIntegrateArguments:
     @pytest.mark.parametrize("t_max,dt", [
