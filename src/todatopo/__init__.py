@@ -38,8 +38,6 @@ from .lie import (
     WeylGroup,
     cartan_matrix,
     generate_weyl_group,
-    length,
-    min_coset_rep,
 )
 from .matrices import IntMatrix
 from .morse import (
@@ -74,7 +72,6 @@ from .toda import (
     Trajectory,
     assemble_matrix,
     chevalley_invariants,
-    detect_blowup,
     eigenvalues,
     integrate,
     step,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import ConfigError, CorruptComplexError, NotInSubgroupError, checked_index
-from .lie import CartanMatrix, WeylElement, WeylGroup
+from .lie import WeylElement, WeylGroup
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
 
@@ -70,6 +70,10 @@ class ColoredDynkinDiagram:
     red: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.rank, int) and isinstance(self.mask, int)
+                and isinstance(self.red, int) and self.rank >= 0):
+            raise ConfigError(f"rank, mask and red must be ints, rank >= 0: got "
+                              f"{self.rank!r}, {self.mask!r}, {self.red!r}")
         if not 0 <= self.mask < 1 << self.rank:
             raise ConfigError(f"colored-vertex mask {self.mask:#b} exceeds rank {self.rank}")
         if self.red & ~self.mask:
@@ -86,15 +90,6 @@ class ColoredDynkinDiagram:
             if s == RED:
                 red |= 1 << (v - 1)
         return cls(rank, mask, red)
-
-    @property
-    def colors(self) -> tuple[tuple[int, int], ...]:
-        """(vertex, sign) pairs sorted by vertex."""
-        return tuple((v, self.eta(v)) for v in self.colored_vertices)
-
-    @property
-    def S(self) -> frozenset:
-        return frozenset(self.colored_vertices)
 
     @property
     def colored_vertices(self) -> tuple[int, ...]:
@@ -136,17 +131,18 @@ class Cell:
         return self.diagram.rank - self.codim
 
 
-def ws_act_on_diagram(
-    x: WeylElement, diagram: ColoredDynkinDiagram, C: CartanMatrix
-) -> ColoredDynkinDiagram:
+def ws_act_on_diagram(x: WeylElement, diagram: ColoredDynkinDiagram) -> ColoredDynkinDiagram:
     """Color permutation induced by x in W_S on a diagram colored on S."""
-    return ws_act_oriented(x, diagram, C)[1]
+    return ws_act_oriented(x, diagram)[1]
 
 
-def ws_act_oriented(
-    x: WeylElement, diagram: ColoredDynkinDiagram, C: CartanMatrix
-) -> tuple[int, ColoredDynkinDiagram]:
-    """Color permutation together with the orientation sign of the gluing."""
+def ws_act_oriented(x: WeylElement, diagram: ColoredDynkinDiagram) -> tuple[int, ColoredDynkinDiagram]:
+    """Color permutation together with the orientation sign of the gluing.
+
+    x acts through its group's Cartan matrix, whose rank the diagram's must equal.
+    """
+    if diagram.rank != x.group.rank:
+        raise ConfigError(f"diagram of rank {diagram.rank} for a group of rank {x.group.rank}")
     S = diagram.mask
     for i in x.word:
         if not S >> (i - 1) & 1:
@@ -154,7 +150,7 @@ def ws_act_oriented(
                 f"letter {i} is not in the colored set {list(diagram.colored_vertices)}; "
                 "element outside W_S"
             )
-    sign, red = _act([i - 1 for i in reversed(x.word)], S, diagram.red, _odd_columns(C))
+    sign, red = _act([i - 1 for i in reversed(x.word)], S, diagram.red, _odd_columns(x.group.cartan))
     return sign, ColoredDynkinDiagram(diagram.rank, S, red)
 
 

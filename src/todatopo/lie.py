@@ -33,6 +33,7 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 51840
 MAX_ORDER_ENV = "TODATOPO_MAX_WEYL_ORDER"
+_FOREIGN = "elements from different groups"
 
 _RANK_RANGES = {
     "A": (1, 16),
@@ -217,22 +218,20 @@ class WeylGroup(Sequence):
     is the position of w * s_(i+1), and bit i of ``_descents[w]`` is set
     when that product is shorter than w.
 
-    The enumeration cap ``max_order`` defaults to the integer in the
-    ``TODATOPO_MAX_WEYL_ORDER`` environment variable, else to 51840; a cap
-    below 1 raises ``ConfigError``.
+    The enumeration cap is the integer in the ``TODATOPO_MAX_WEYL_ORDER``
+    environment variable, else 51840; a value that is not an integer, or is
+    below 1, raises ``ConfigError``.  The methods that take elements raise
+    ``ConfigError`` for an element of another group.
     """
 
-    def __init__(self, cartan: CartanMatrix, max_order: int | None = None):
-        if max_order is None:
-            env = os.environ.get(MAX_ORDER_ENV)
-            try:
-                max_order = int(env) if env else DEFAULT_MAX_ORDER
-            except ValueError:
-                raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
-            if max_order < 1:
-                raise ConfigError(f"{MAX_ORDER_ENV} must be at least 1, got {max_order}")
-        elif max_order < 1:
-            raise ConfigError(f"max_order must be at least 1, got {max_order}")
+    def __init__(self, cartan: CartanMatrix):
+        env = os.environ.get(MAX_ORDER_ENV)
+        try:
+            max_order = int(env) if env else DEFAULT_MAX_ORDER
+        except ValueError:
+            raise ConfigError(f"{MAX_ORDER_ENV} must be an integer, got {env!r}") from None
+        if max_order < 1:
+            raise ConfigError(f"{MAX_ORDER_ENV} must be at least 1, got {max_order}")
         self.cartan = cartan
         l = cartan.rank
         entries = cartan.entries
@@ -255,8 +254,7 @@ class WeylGroup(Sequence):
                 if j is None:
                     if len(orbit) >= max_order:
                         raise GroupOrderCapError(
-                            f"group order exceeds the cap {max_order}; "
-                            f"raise it via {MAX_ORDER_ENV} or max_order"
+                            f"group order exceeds the cap {max_order}; raise it via {MAX_ORDER_ENV}"
                         )
                     j = found[q] = len(orbit)
                     orbit.append(q)
@@ -303,15 +301,21 @@ class WeylGroup(Sequence):
         return w
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
+        if u.group is not self or v.group is not self:
+            raise ConfigError(_FOREIGN)
         return self.elements[self._walk(u.position, v.word)]
 
     def inverse(self, u: WeylElement) -> WeylElement:
+        if u.group is not self:
+            raise ConfigError(_FOREIGN)
         return self.elements[self._walk(0, reversed(u.word))]
 
     def from_word(self, letters) -> WeylElement:
         return self.elements[self._walk(0, self._letters(letters))]
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
+        if w.group is not self:
+            raise ConfigError(_FOREIGN)
         return bool(self._descents[w.position] & _mask(self._letters((i,))))
 
     # -- parabolic machinery -------------------------------------------------
@@ -337,6 +341,8 @@ class WeylGroup(Sequence):
 
     def min_coset_rep(self, w: WeylElement, S) -> WeylElement:
         """Minimal-length representative of the left coset w * W_S."""
+        if w.group is not self:
+            raise ConfigError(_FOREIGN)
         return self.elements[self._coset_walk(w.position, _mask(self._letters(S)))[0]]
 
     def coset_min_reps(self, S) -> tuple[WeylElement, ...]:
@@ -345,14 +351,6 @@ class WeylGroup(Sequence):
         return tuple(w for w in self.elements if not self._descents[w.position] & mask)
 
 
-def generate_weyl_group(cartan: CartanMatrix, max_order: int | None = None) -> WeylGroup:
+def generate_weyl_group(cartan: CartanMatrix) -> WeylGroup:
     """Enumerate the full Weyl group of ``cartan`` (cap as in :class:`WeylGroup`)."""
-    return WeylGroup(cartan, max_order)
-
-
-def length(w: WeylElement) -> int:
-    return w.length
-
-
-def min_coset_rep(w: WeylElement, S) -> WeylElement:
-    return w.group.min_coset_rep(w, S)
+    return WeylGroup(cartan)

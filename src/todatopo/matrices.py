@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
-from types import MappingProxyType
 
 
 @dataclass(frozen=True, init=False)
@@ -66,13 +65,6 @@ class IntMatrix:
                 if v:
                     columns[c][r] = int(v)
         return cls.from_columns(rows, columns)
-
-    @property
-    def entries(self):
-        """Read-only ``(row, col) -> value`` view, built on each access."""
-        return MappingProxyType(
-            {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
-        )
 
     def to_dense(self):
         dense = [[0] * self.cols for _ in range(self.rows)]

@@ -328,10 +328,11 @@ def _count_exact_ascent_set(l: int, T: int) -> int:
 
 def conjectured_betti(l: int, k: int) -> int:
     """Alternating whisker-count sum for the k-th Betti number (conjectural
-    for k >= 2).  Returns 0 beyond k > (l+1)/2."""
+    for k >= 2).  Returns 0 beyond k > (l+1)/2; an integral float such as 2.0 is read as 2."""
     _check_principal_rank(l)
-    if k < 1:
-        raise ConfigError("degree k must be >= 1")
+    if not (k >= 1 and k % 1 == 0):  # nan and inf fail too
+        raise ConfigError(f"degree k must be an integer >= 1, got {k!r}")
+    k = int(k)
     if 2 * k > l + 1:
         return 0
     # T & ~(T << 1) keeps the first root of each maximal block of T.

@@ -70,9 +70,10 @@ def apply_simple_reflection(i: int, eps, C: CartanMatrix) -> tuple[int, ...]:
     return _apply([i], eps, C)
 
 
-def apply_weyl(w: WeylElement, eps, C: CartanMatrix) -> tuple[int, ...]:
+def apply_weyl(w: WeylElement, eps) -> tuple[int, ...]:
     """Action of a group element along its reduced word, last letter first.
 
-    The result does not depend on the choice of reduced word.
+    The Cartan matrix is that of w's group, and the result does not depend
+    on the choice of reduced word.
     """
-    return _apply(w.word[::-1], eps, C)
+    return _apply(w.word[::-1], eps, w.group.cartan)

@@ -331,8 +331,3 @@ def integrate(
         traj.b.append(b)
     traj.invariants = _invariant_rows(traj.a, traj.b)
     return traj
-
-
-def detect_blowup(traj: Trajectory) -> float | None:
-    """First escape time of a recorded trajectory, if any."""
-    return traj.blowup.time if traj.blowup else None

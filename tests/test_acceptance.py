@@ -15,7 +15,6 @@ from todatopo import (
     build_chain_complex,
     cartan_matrix,
     conjectured_betti,
-    detect_blowup,
     eigenvalues,
     generate_weyl_group,
     homology_of,
@@ -151,9 +150,10 @@ def test_criterion_9_integrator():
         drift = max(drift, float(np.max(np.abs(eigenvalues(traj.final_state()) - ev0))))
         assert drift < 1e-8
     s = TodaState((0.0,), (-1.0,))
-    t6 = detect_blowup(integrate(s, 5.0, 1e-3, threshold=1e6))
-    t9 = detect_blowup(integrate(s, 5.0, 1e-3, threshold=1e9))
-    assert t6 is not None and t9 is not None
+    b6 = integrate(s, 5.0, 1e-3, threshold=1e6).blowup
+    b9 = integrate(s, 5.0, 1e-3, threshold=1e9).blowup
+    assert b6 is not None and b9 is not None
+    t6, t9 = b6.time, b9.time
     assert abs(t6 - t9) / t9 < 0.01
     ok(9, f"drift below 1e-8 for n=3,4; blow-up at {t9:.6f} stable to "
           f"{abs(t6 - t9) / t9:.2e} across thresholds")

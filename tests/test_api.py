@@ -17,10 +17,10 @@ class TestPublicNames:
         "TodaGraph", "TodaState", "TodatopoError", "Trajectory", "UnsupportedTypeError",
         "WeylElement", "WeylGroup", "apply_simple_reflection", "apply_weyl",
         "assemble_matrix", "betti_one", "build_chain_complex", "cartan_matrix",
-        "chevalley_invariants", "conjectured_betti", "detect_blowup", "diagram_boundary",
+        "chevalley_invariants", "conjectured_betti", "diagram_boundary",
         "eigenvalues", "enumerate_cells", "generate_weyl_group", "homology_of", "incidence",
         "index", "integrate", "invariant_factors", "is_abelian_unstable", "is_transversal",
-        "label", "length", "min_coset_rep", "morse_complex", "morse_smale_edges",
+        "label", "morse_complex", "morse_smale_edges",
         "parse_sign_string", "poincare_polynomial", "principal_graph", "sign_string",
         "stable_set", "step", "subsystem", "toda_graph", "unstable_set",
         "ws_act_on_diagram", "ws_act_oriented",
@@ -69,11 +69,17 @@ class TestPublicNames:
     (lambda: todatopo.IntMatrix(2, 2, {(0.5, 0): 1}), ValueError),
     (lambda: todatopo.HomologyGroup(-3), ValueError),
     (lambda: todatopo.HomologyGroup(1.5), ValueError),
+    (lambda: todatopo.ColoredDynkinDiagram(2, 1.5), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram(2.0), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram(2, 1, 1.0), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram(-1), todatopo.ConfigError),
+    (lambda: todatopo.conjectured_betti(3, 1.5), todatopo.ConfigError),
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
        "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
        "cell_count_formula-negative", "from_dense", "IntMatrix-value", "IntMatrix-index",
-       "HomologyGroup-negative", "HomologyGroup-float"])
+       "HomologyGroup-negative", "HomologyGroup-float", "diagram-mask", "diagram-rank",
+       "diagram-red", "diagram-negative-rank", "conjectured_betti-degree"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

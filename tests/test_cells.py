@@ -18,6 +18,11 @@ from todatopo import (
 from todatopo.cells import cell_count_formula
 from todatopo.errors import ConfigError
 
+
+def colors(D):
+    """(vertex, sign) pairs of a diagram, sorted by vertex."""
+    return tuple((v, D.eta(v)) for v in D.colored_vertices)
+
 # Boundary matrices of the rank-2 A-type complex, derived by hand and
 # frozen; the basis order is (S lex, coloring with Blue first, coset rep
 # by length then word).  These pin the orientation conventions.
@@ -48,7 +53,7 @@ class TestDiagram:
         D = ColoredDynkinDiagram.from_map(3, {1: -1, 3: 1})
         assert D.color_string() == "RoB"
         assert D.uncolored == (2,)
-        assert D.S == frozenset({1, 3})
+        assert frozenset(D.colored_vertices) == frozenset({1, 3})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -66,7 +71,7 @@ class TestDiagram:
         D = ColoredDynkinDiagram.from_map(3, {1: -1, 3: 1})
         assert (D.rank, D.mask, D.red) == (3, 0b101, 0b001)
         assert D == ColoredDynkinDiagram(3, 0b101, 0b001)
-        assert D.colors == ((1, -1), (3, 1))
+        assert colors(D) == ((1, -1), (3, 1))
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_views_match_pair_transcription(self, l):
@@ -74,12 +79,12 @@ class TestDiagram:
         # operations written on sorted (vertex, sign) pairs.
         chars = {-1: "R", 1: "B"}
         for states in product((0, 1, -1), repeat=l):
-            colors = tuple((v, s) for v, s in enumerate(states, 1) if s)
-            eta = dict(colors)
+            pairs = tuple((v, s) for v, s in enumerate(states, 1) if s)
+            eta = dict(pairs)
             uncolored = tuple(v for v in range(1, l + 1) if v not in eta)
             D = ColoredDynkinDiagram.from_map(l, eta)
-            assert D.colors == colors
-            assert D.S == frozenset(eta)
+            assert colors(D) == pairs
+            assert frozenset(D.colored_vertices) == frozenset(eta)
             assert D.colored_vertices == tuple(eta)
             assert D.uncolored == uncolored
             assert D.color_string() == "".join(chars.get(eta.get(v), "o") for v in range(1, l + 1))
@@ -93,37 +98,42 @@ class TestDiagram:
                 for c in (1, 2):
                     sign, face = diagram_boundary(D, j, c)
                     assert sign == (-1) ** (j + c + 1)
-                    assert face.colors == tuple(sorted(colors + ((v, (-1) ** c),)))
+                    assert colors(face) == tuple(sorted(pairs + ((v, (-1) ** c),)))
 
 
 class TestDiagramAction:
     def test_known_color_change(self, W_A2):
         D = ColoredDynkinDiagram.from_map(2, {1: -1, 2: 1})  # R B
-        out = ws_act_on_diagram(W_A2.simple_reflection(1), D, W_A2.cartan)
+        out = ws_act_on_diagram(W_A2.simple_reflection(1), D)
         assert out.color_string() == "RR"
 
     def test_identity(self, W_A2):
         D = ColoredDynkinDiagram.from_map(2, {1: -1, 2: 1})
-        assert ws_act_on_diagram(W_A2.identity, D, W_A2.cartan) == D
+        assert ws_act_on_diagram(W_A2.identity, D) == D
 
     def test_involution_on_full_colorings(self, W_A2):
         s1 = W_A2.simple_reflection(1)
         for signs in product((1, -1), repeat=2):
             D = ColoredDynkinDiagram.from_map(2, dict(zip((1, 2), signs)))
-            once_sign, once = ws_act_oriented(s1, D, W_A2.cartan)
-            twice_sign, twice = ws_act_oriented(s1, once, W_A2.cartan)
+            once_sign, once = ws_act_oriented(s1, D)
+            twice_sign, twice = ws_act_oriented(s1, once)
             assert twice == D
             assert once_sign * twice_sign == 1
 
     def test_outside_subgroup_rejected(self, W_A2):
         D = ColoredDynkinDiagram.from_map(2, {1: 1})
         with pytest.raises(NotInSubgroupError):
-            ws_act_on_diagram(W_A2.simple_reflection(2), D, W_A2.cartan)
+            ws_act_on_diagram(W_A2.simple_reflection(2), D)
+
+    def test_diagram_of_another_rank_rejected(self, W_A2):
+        D = ColoredDynkinDiagram.from_map(3, {1: 1, 2: -1})
+        for act in (ws_act_oriented, ws_act_on_diagram):
+            with pytest.raises(ConfigError, match="diagram of rank 3 for a group of rank 2"):
+                act(W_A2.simple_reflection(1), D)
 
     @pytest.mark.parametrize("fix", ["W_A2", "W_B2", "W_G2", "W_A3"])
     def test_oriented_action_respects_group_law(self, fix, request):
         W = request.getfixturevalue(fix)
-        C = W.cartan
         l = W.rank
         for r in range(1, l + 1):
             for S in combinations(range(1, l + 1), r):
@@ -136,9 +146,9 @@ class TestDiagramAction:
                     for v in sub:
                         uv = W.multiply(u, v)
                         for D in diagrams:
-                            sv, Dv = ws_act_oriented(v, D, C)
-                            su, Duv = ws_act_oriented(u, Dv, C)
-                            s, Dd = ws_act_oriented(uv, D, C)
+                            sv, Dv = ws_act_oriented(v, D)
+                            su, Duv = ws_act_oriented(u, Dv)
+                            s, Dd = ws_act_oriented(uv, D)
                             assert Dd == Duv
                             assert s == su * sv
 
@@ -179,7 +189,7 @@ class TestDiagramBoundary:
         for j in (1, 2):
             for c in (1, 2):
                 _, D1 = diagram_boundary(D, j, c)
-                assert len(D1.colors) == len(D.colors) + 1
+                assert len(colors(D1)) == len(colors(D)) + 1
 
     def test_second_uncolored_vertex(self):
         D = ColoredDynkinDiagram.from_map(2, {1: -1})

@@ -375,7 +375,7 @@ class TestReduction:
 
         def key(cell):
             desc = W._descents[cell.rep.position]
-            A = [v for v, eta in cell.diagram.colors if eta == 1]
+            A = [v for v in cell.diagram.colored_vertices if cell.diagram.eta(v) == 1]
             A += [v for v in cell.diagram.uncolored if not desc >> (v - 1) & 1]
             return -cell.rep.length, min(A)
 

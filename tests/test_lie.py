@@ -11,8 +11,6 @@ from todatopo import (
     UnsupportedTypeError,
     cartan_matrix,
     generate_weyl_group,
-    length,
-    min_coset_rep,
 )
 from todatopo.lie import DEFAULT_MAX_ORDER, WeylGroup
 
@@ -125,14 +123,16 @@ class TestGeneration:
         C = cartan_matrix(label, rank)
         assert brute_force_order(C) == len(generate_weyl_group(C))
 
-    def test_cap_exceeded_names_cap(self):
+    def test_cap_exceeded_names_cap(self, monkeypatch):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "17")
         with pytest.raises(GroupOrderCapError, match="17"):
-            generate_weyl_group(cartan_matrix("A", 3), max_order=17)
+            generate_weyl_group(cartan_matrix("A", 3))
 
     @pytest.mark.parametrize("max_order", [0, -3])
-    def test_cap_below_one_names_the_parameter(self, max_order):
-        with pytest.raises(ConfigError, match="max_order must be at least 1"):
-            generate_weyl_group(cartan_matrix("A", 1), max_order=max_order)
+    def test_cap_below_one_names_the_parameter(self, monkeypatch, max_order):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", str(max_order))
+        with pytest.raises(ConfigError, match="TODATOPO_MAX_WEYL_ORDER must be at least 1"):
+            generate_weyl_group(cartan_matrix("A", 1))
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "5")
@@ -269,8 +269,8 @@ class TestTableAgainstRootAction:
 
 class TestLengthsAndWords:
     def test_identity_and_simple(self, W_A2):
-        assert length(W_A2.identity) == 0
-        assert length(W_A2.simple_reflection(1)) == 1
+        assert W_A2.identity.length == 0
+        assert W_A2.simple_reflection(1).length == 1
 
     def test_longest_a2(self, W_A2):
         assert W_A2.longest_element.length == 3
@@ -303,27 +303,27 @@ class TestLengthsAndWords:
 class TestCosets:
     def test_identity_rep(self, W_A2):
         for S in [(), (1,), (2,), (1, 2)]:
-            assert min_coset_rep(W_A2.identity, S) is W_A2.identity
+            assert W_A2.min_coset_rep(W_A2.identity, S) is W_A2.identity
 
     def test_generator_in_own_parabolic(self, W_A2):
         s1 = W_A2.simple_reflection(1)
-        assert min_coset_rep(s1, (1,)) is W_A2.identity
+        assert W_A2.min_coset_rep(s1, (1,)) is W_A2.identity
 
     def test_a2_example(self, W_A2):
         w = W_A2.from_word([1, 2])
-        assert min_coset_rep(w, (2,)) is W_A2.simple_reflection(1)
+        assert W_A2.min_coset_rep(w, (2,)) is W_A2.simple_reflection(1)
 
     def test_rep_is_strict_minimum_by_enumeration(self, W_A3):
         for S in [(1,), (2,), (1, 3), (1, 2)]:
             sub = W_A3.parabolic_elements(S)
             for w in W_A3:
                 coset = [W_A3.multiply(w, x) for x in sub]
-                rep = min_coset_rep(w, S)
+                rep = W_A3.min_coset_rep(w, S)
                 assert rep in coset
                 others = [u.length for u in coset if u is not rep]
                 assert all(rep.length < n for n in others)
                 # idempotent, same coset
-                assert min_coset_rep(rep, S) is rep
+                assert W_A3.min_coset_rep(rep, S) is rep
 
     def test_parabolic_orders_divide(self, W_B3):
         import itertools
@@ -342,14 +342,30 @@ class TestSearchOrder:
     @pytest.mark.parametrize("letter,rank", LIE_TYPES + [
         pytest.param(t, r, marks=pytest.mark.slow) for t, r in [("A", 6), ("D", 6), ("E", 6)]
     ])
-    def test_positions_follow_length_and_smallest_word(self, letter, rank):
-        W = WeylGroup(cartan_matrix(letter, rank), max_order=51840)
+    def test_positions_follow_length_and_smallest_word(self, monkeypatch, letter, rank):
+        monkeypatch.setenv("TODATOPO_MAX_WEYL_ORDER", "51840")
+        W = WeylGroup(cartan_matrix(letter, rank))
         keys = [(w.length, w.word) for w in W]
         assert all(p < q for p, q in zip(keys, keys[1:]))
         assert [w.position for w in W] == list(range(len(W)))
         for w in W[1:]:
             down = [i for i in range(1, rank + 1) if W.sends_simple_root_negative(w, i)]
             assert w.word == min(W.multiply(w, W.simple_reflection(i)).word + (i,) for i in down)
+
+
+def test_element_of_another_group_rejected(W_A2, W_B2):
+    a, b = W_A2[1], W_B2[5]
+    calls = [
+        lambda: W_A2.multiply(a, b),
+        lambda: W_A2.multiply(b, a),
+        lambda: a * W_B2[3],
+        lambda: W_A2.inverse(b),
+        lambda: W_A2.min_coset_rep(b, [1]),
+        lambda: W_A2.sends_simple_root_negative(W_B2[7], 1),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="elements from different groups"):
+            call()
 
 
 class TestSimpleRootIndices:
@@ -363,7 +379,8 @@ class TestSimpleRootIndices:
         "parabolic_order": lambda W, w, i: W.parabolic_order((i,)),
         "min_coset_rep": lambda W, w, i: W.min_coset_rep(w, (i,)),
         "coset_min_reps": lambda W, w, i: W.coset_min_reps((i,)),
-        "module min_coset_rep": lambda W, w, i: min_coset_rep(w, (1, i)),
+        # A two-letter set, through the element's own group.
+        "module min_coset_rep": lambda W, w, i: w.group.min_coset_rep(w, (1, i)),
     }
 
     @pytest.mark.parametrize("call", CALLS)

@@ -186,7 +186,7 @@ class TestMorseComplex:
     def test_a2_boundary_and_gold_homology(self, W_A2):
         cx = morse_complex(W_A2)
         assert cx.ranks() == (1, 4, 1)
-        col = [v for (_, _), v in sorted(cx.boundary(2).entries.items())]
+        col = [v for _, _, v in cx.boundary(2).triplets()]
         assert sorted(col) == [2, 2]
         assert cx.boundary(1).is_zero()
         groups = homology_of(cx)
@@ -290,6 +290,11 @@ class TestBettiFormulas:
         assert conjectured_betti(2, 2) == 0
         assert conjectured_betti(3, 3) == 0
         assert conjectured_betti(5, 4) == 0
+
+    def test_integral_float_degree_is_read_as_int(self):
+        value = conjectured_betti(3, 2.0)
+        assert value == conjectured_betti(3, 2) == 5 and type(value) is int
+        assert conjectured_betti(3, 3.0) == 0
 
     def test_a3_second_betti_matches_cellular(self, W_A3):
         groups = homology_of(build_chain_complex(W_A3))

@@ -8,7 +8,6 @@ from todatopo import (
     TodaState,
     assemble_matrix,
     chevalley_invariants,
-    detect_blowup,
     eigenvalues,
     integrate,
     step,
@@ -138,19 +137,19 @@ class TestBlowup:
     def test_n2_negative_sector_blows_up_at_known_time(self):
         # a=0, b=-1: the slope satisfies da/dt = -(1 + a^2), a pole at pi/2
         traj = integrate(TodaState((0.0,), (-1.0,)), 5.0, 1e-3)
-        t = detect_blowup(traj)
-        assert t is not None
-        assert t == pytest.approx(math.pi / 2, abs=1e-3)
+        assert traj.blowup is not None
+        assert traj.blowup.time == pytest.approx(math.pi / 2, abs=1e-3)
 
     def test_definite_sector_stays_bounded(self):
         traj = integrate(TodaState((0.0,), (1.0,)), 20.0, 1e-3)
-        assert detect_blowup(traj) is None
+        assert traj.blowup is None
 
     def test_threshold_insensitivity(self):
         s = TodaState((0.0,), (-1.0,))
-        t6 = detect_blowup(integrate(s, 5.0, 1e-3, threshold=1e6))
-        t9 = detect_blowup(integrate(s, 5.0, 1e-3, threshold=1e9))
-        assert t6 is not None and t9 is not None
+        b6 = integrate(s, 5.0, 1e-3, threshold=1e6).blowup
+        b9 = integrate(s, 5.0, 1e-3, threshold=1e9).blowup
+        assert b6 is not None and b9 is not None
+        t6, t9 = b6.time, b9.time
         assert abs(t6 - t9) / t9 < 0.01
 
     def test_sign_invariance_until_blowup(self):
