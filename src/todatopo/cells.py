@@ -100,7 +100,8 @@ class ColoredDynkinDiagram:
         return tuple(v for v in range(1, self.rank + 1) if not self.mask >> (v - 1) & 1)
 
     def eta(self, v: int) -> int:
-        if not (1 <= v <= self.rank and self.mask >> (v - 1) & 1):
+        v = checked_index(v, 1, self.rank, "colored vertex")
+        if not self.mask >> (v - 1) & 1:
             raise KeyError(f"vertex {v} is not colored")
         return RED if self.red >> (v - 1) & 1 else BLUE
 
@@ -280,6 +281,12 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     with its Blue face on that vertex, whose row the same pass looks up,
     and filed under the key (-l(w), min A) that the pair shares; each
     degree joins its pairs in key order when done.
+
+    Each face is one entry, +-1, in a row of its own: faces with different
+    j color different vertices, and the Red and Blue faces of one j share
+    S, so the same residual letters, whose push (``signs._act``) is a
+    bijection on Red masks: each letter's step is an involution, as it
+    keeps its own bit (C_ii = 2 is even).
     """
     odd = _odd_columns(W.cartan)
     descents = W._descents
@@ -308,15 +315,12 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
                 if dw & S:  # the new vertex is a descent of w: walk to the face's rep
                     rep, letters = W._coset_walk(w, S)
                     osgn, red = _act(letters, S, red, odd)
-                    r = row_of[(S, red, rep)]
-                    column[r] = column.get(r, 0) + sgn * osgn
+                    column[row_of[(S, red, rep)]] = sgn * osgn
                 else:  # the face keeps w, with no residual letters: a row of its own
                     r = row_of[(S, red, w)]
                     column[r] = sgn
                     if bit == down:  # key (-l(w), min A), shared by the pair
                         buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
-            if 0 in column.values():
-                column = {r: v for r, v in column.items() if v}
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
         del row_of  # freed before the join and the next degree's index: one index at a time

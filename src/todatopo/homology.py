@@ -7,8 +7,8 @@ colored diagrams give): one sweep per degree carries the boundaries of
 all critical cells as rows and reads each matched pair once, in the
 gradient order the matching lists them in, leaving the Morse
 differential between critical cells.  No filled Schur complement is ever
-formed.  Each Morse differential, or each full boundary of a complex
-with no matching, goes to ``invariant_factors``, which eliminates
+formed.  Each Morse differential (the full boundary, in a degree with
+no pairs) goes to ``invariant_factors``, which eliminates
 sparsely, in rounds that pivot on entries equal to the gcd of what is
 left.  When no entry equals that gcd, unimodular row and column steps
 make one that does.  ``_pivot`` is the one pivot loop and nothing is
@@ -244,10 +244,10 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     differential d'_k, from the critical cells of C_k to those of
     C_(k-1), sums the boundary over the gradient paths through the pairs
     of C_(k-1) x C_k (``_morse_differential``), and the Morse complex has
-    the homology of the original.  When no cell of C_k or C_(k-1) is
-    paired, d'_k is d_k itself.  With crit_k the critical cells of C_k,
-    H_k = Z^(crit_k - rank d'_k - rank d'_(k+1)) plus the factors > 1 of
-    d'_(k+1).
+    the homology of the original.  Every degree takes this one path; with
+    no pairs, as in a complex without a matching, d'_k equals d_k.  With
+    crit_k the critical cells of C_k, H_k = Z^(crit_k - rank d'_k -
+    rank d'_(k+1)) plus the factors > 1 of d'_(k+1).
 
     The matching is checked here, where it is read: one dict per degree
     below the top, pairs of cells that exist, no cell in two pairs, each
@@ -274,9 +274,7 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
         down = up.values()
     factors = [()] * (top + 2)
     for k in range(1, top + 1):
-        d = cx.boundary(k)
-        if len(crit[k]) < d.cols or len(crit[k - 1]) < d.rows:
-            d = _morse_differential(d, matching[k - 1], crit, k)
+        d = _morse_differential(cx.boundary(k), matching[k - 1], crit, k)
         factors[k] = invariant_factors(d)
     return [
         HomologyGroup(len(crit[k]) - len(factors[k]) - len(factors[k + 1]),

@@ -33,7 +33,7 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 51840
 MAX_ORDER_ENV = "TODATOPO_MAX_WEYL_ORDER"
-_FOREIGN = "elements from different groups"
+_FOREIGN = "elements from different groups, or not Weyl elements"
 
 _RANK_RANGES = {
     "A": (1, 16),
@@ -301,12 +301,12 @@ class WeylGroup(Sequence):
         return w
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        if u.group is not self or v.group is not self:
+        if getattr(u, "group", None) is not self or getattr(v, "group", None) is not self:
             raise ConfigError(_FOREIGN)
         return self.elements[self._walk(u.position, v.word)]
 
     def inverse(self, u: WeylElement) -> WeylElement:
-        if u.group is not self:
+        if getattr(u, "group", None) is not self:
             raise ConfigError(_FOREIGN)
         return self.elements[self._walk(0, reversed(u.word))]
 
@@ -314,7 +314,7 @@ class WeylGroup(Sequence):
         return self.elements[self._walk(0, self._letters(letters))]
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
-        if w.group is not self:
+        if getattr(w, "group", None) is not self:
             raise ConfigError(_FOREIGN)
         return bool(self._descents[w.position] & _mask(self._letters((i,))))
 
@@ -341,7 +341,7 @@ class WeylGroup(Sequence):
 
     def min_coset_rep(self, w: WeylElement, S) -> WeylElement:
         """Minimal-length representative of the left coset w * W_S."""
-        if w.group is not self:
+        if getattr(w, "group", None) is not self:
             raise ConfigError(_FOREIGN)
         return self.elements[self._coset_walk(w.position, _mask(self._letters(S)))[0]]
 

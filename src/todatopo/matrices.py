@@ -16,37 +16,40 @@ from numbers import Integral
 
 @dataclass(frozen=True, init=False)
 class IntMatrix:
+    """Sparse int matrix by columns, built only through ``_set``, the one check: rows in
+    0..rows-1 and nonzero values, all Python ints.  The mapping and dense forms read integral
+    values with int(); ``from_columns`` keeps its dicts, so 1.5, 2.0 and numpy ints fail there."""
+
     rows: int
     cols: int
     columns: tuple[dict[int, int], ...]  # columns[c] = {row: nonzero int}
 
     def __init__(self, rows: int, cols: int, entries=None):
-        """Validating constructor from a ``(row, col) -> value`` mapping."""
+        """Matrix from a ``(row, col) -> value`` mapping, reading integral entries with int()."""
         columns = tuple({} for _ in range(cols))
         for (r, c), v in (entries or {}).items():
-            if not all(isinstance(x, Integral) for x in (r, c, v)):  # 1.5 and 2.0 are not
-                raise ValueError(f"entry ({r},{c}) = {v!r}: indices and values must be integers")
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
-            if v == 0:
-                raise ValueError("stored entries must be nonzero")
-            columns[c][r] = int(v)
+            r, c, v = (int(x) if isinstance(x, Integral) else x for x in (r, c, v))
+            if not (isinstance(c, int) and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}): column is not an int in 0..{cols - 1}")
+            columns[c][r] = v
         self._set(rows, columns)
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "IntMatrix":
         """Matrix whose column c is the dict ``columns[c]``; the dicts are kept, not copied."""
-        columns = tuple(columns)
-        used = set().union(*columns)
-        if used and not (0 <= min(used) and max(used) < rows):
-            raise ValueError(f"a column has a row outside 0..{rows - 1}")
-        if 0 in chain.from_iterable(map(dict.values, columns)):
-            raise ValueError("stored entries must be nonzero")
         mat = object.__new__(cls)
-        mat._set(rows, columns)
+        mat._set(rows, tuple(columns))
         return mat
 
     def _set(self, rows, columns):
+        values = chain.from_iterable(map(dict.values, columns))
+        if not {*map(type, chain.from_iterable(columns)), *map(type, values)} <= {int}:
+            raise ValueError("rows and values of a column must be Python ints")
+        used = set().union(*columns)
+        if used and not (0 <= min(used) and max(used) < rows):
+            raise ValueError(f"a column has a row outside 0..{rows - 1}")
+        if not all(chain.from_iterable(map(dict.values, columns))):
+            raise ValueError("stored entries must be nonzero")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", len(columns))
         object.__setattr__(self, "columns", columns)
@@ -60,9 +63,9 @@ class IntMatrix:
             if len(row) != cols:
                 raise ValueError("ragged dense matrix")
             for c, v in enumerate(row):
-                if not isinstance(v, Integral):  # 1.5 and 2.0 are not
-                    raise ValueError(f"dense entry {v!r} is not an integer")
-                if v:
+                if not isinstance(v, Integral):
+                    columns[c][r] = v  # stored for _set to reject, as 1.5 and 2.0 are
+                elif v:
                     columns[c][r] = int(v)
         return cls.from_columns(rows, columns)
 

@@ -20,7 +20,7 @@ from math import comb
 
 from .cells import ChainComplex
 from .errors import ConfigError, CorruptComplexError, IncidenceError
-from .lie import WeylElement, WeylGroup
+from .lie import _FOREIGN, WeylElement, WeylGroup
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
 
@@ -98,9 +98,9 @@ def is_transversal(a: WeylElement, b: WeylElement) -> bool:
     index drop, A | B is every simple root (W_(A|B) = W only then), and
     the cosets a W_A and b W_B meet (then in a coset of W_(A&B)).
     """
-    if a.group is not b.group:
-        raise ConfigError("elements from different groups")
-    W = a.group
+    W = getattr(a, "group", None)
+    if W is None or getattr(b, "group", None) is not W:
+        raise ConfigError(_FOREIGN)
     full = (1 << W.rank) - 1
     ua = full ^ W._descents[a.position]
     sb = W._descents[b.position]
@@ -124,9 +124,9 @@ def incidence(a: WeylElement, b: WeylElement) -> int:
     through rank 3 and keeps the two families sign-symmetric at every
     rank.
     """
-    W = a.group
-    if W is not b.group:
-        raise ConfigError("elements from different groups")
+    W = getattr(a, "group", None)
+    if W is None or getattr(b, "group", None) is not W:
+        raise ConfigError(_FOREIGN)
     if index(a) != index(b) + 1:
         raise IncidenceError("incidence needs index(a) == index(b) + 1")
     if (~W._descents[a.position] & W._descents[b.position]).bit_count() != 1:

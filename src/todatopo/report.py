@@ -7,7 +7,6 @@ JSON keys are sorted, and floats use repr formatting.
 from __future__ import annotations
 
 import json
-from itertools import islice
 
 from .cells import ChainComplex
 from .lie import WeylGroup
@@ -18,15 +17,8 @@ SCHEMA_VERSION = 1
 
 
 def dump_json(obj) -> str:
-    # With indent, json.dumps joins one list of every encoder chunk, several
-    # times the size of the output; joining a few thousand chunks at a time
-    # gives the same text at a fraction of the peak memory.
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    parts = []
-    while batch := list(islice(chunks, 4096)):
-        parts.append("".join(batch))
-    parts.append("\n")
-    return "".join(parts)
+    """Sorted keys, two-space indent and a final newline: every JSON artifact's layout."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def word_list(w) -> list:

@@ -1,6 +1,7 @@
 import math
 import types
 
+import numpy as np
 import pytest
 
 import todatopo
@@ -74,12 +75,22 @@ class TestPublicNames:
     (lambda: todatopo.ColoredDynkinDiagram(2, 1, 1.0), todatopo.ConfigError),
     (lambda: todatopo.ColoredDynkinDiagram(-1), todatopo.ConfigError),
     (lambda: todatopo.conjectured_betti(3, 1.5), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram(3, 0b111).eta(1.5), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram(3, 0b111).eta(0), todatopo.ConfigError),
+    # from_columns keeps its dicts as given, so only Python ints pass.
+    (lambda: todatopo.IntMatrix.from_columns(2, [{0: 1.5}]), ValueError),
+    (lambda: todatopo.IntMatrix.from_columns(2, [{0: 2.0}]), ValueError),
+    (lambda: todatopo.IntMatrix.from_columns(2, [{0.5: 1}]), ValueError),
+    (lambda: todatopo.IntMatrix.from_columns(
+        2, [{0: np.int64(3**39), 1: np.int64(1)}, {0: np.int64(1), 1: np.int64(3**39)}]), ValueError),
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
        "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
        "cell_count_formula-negative", "from_dense", "IntMatrix-value", "IntMatrix-index",
        "HomologyGroup-negative", "HomologyGroup-float", "diagram-mask", "diagram-rank",
-       "diagram-red", "diagram-negative-rank", "conjectured_betti-degree"])
+       "diagram-red", "diagram-negative-rank", "conjectured_betti-degree", "eta-float",
+       "eta-out-of-range", "from_columns-value", "from_columns-integral-float", "from_columns-row",
+       "from_columns-int64"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

@@ -18,6 +18,8 @@ from todatopo import (
 from todatopo.cells import cell_count_formula
 from todatopo.errors import ConfigError
 
+from test_homology import LIE_TYPES
+
 
 def colors(D):
     """(vertex, sign) pairs of a diagram, sorted by vertex."""
@@ -66,6 +68,14 @@ class TestDiagram:
             ColoredDynkinDiagram(2, 0b100)
         with pytest.raises(ConfigError):
             ColoredDynkinDiagram(2, 0b01, 0b10)
+
+    def test_eta_reads_the_vertex_by_value(self):
+        D = ColoredDynkinDiagram.from_map(3, {1: -1, 2: 1})
+        assert D.eta(2.0) == D.eta(2) == 1
+        with pytest.raises(ConfigError):
+            D.eta(4)
+        with pytest.raises(KeyError):  # in range, uncolored
+            D.eta(3)
 
     def test_masks(self):
         D = ColoredDynkinDiagram.from_map(3, {1: -1, 3: 1})
@@ -226,6 +236,15 @@ class TestChainComplex:
         cx.validate()
         for k in range(2, W.rank + 1):
             assert cx.boundary(k - 1).matmul(cx.boundary(k)).is_zero()
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
+    def test_each_face_is_one_unit_entry(self, letter, rank):
+        # A cell with u uncolored vertices has 2u faces; they land in 2u distinct rows.
+        cx = build_chain_complex(generate_weyl_group(cartan_matrix(letter, rank)))
+        for k in range(1, rank + 1):
+            for cell, col in zip(cx.bases[k], cx.boundary(k).columns):
+                assert len(col) == 2 * len(cell.diagram.uncolored)
+                assert set(col.values()) <= {1, -1}
 
     def test_euler_characteristic_a2(self, W_A2):
         assert build_chain_complex(W_A2).euler_characteristic() == -2

@@ -431,6 +431,17 @@ class TestSimulate:
         assert lines[0] == "t,a1,a2,b1,b2,I1,I2"
         assert len(lines) == 1 + 1001
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--type", "B", "--signs=++"), "the integrator implements the A-series matrix form only"),
+        (("--signs=++", "--a0", "1,x"), "--a0 must be a comma-separated float list"),
+        (("--signs=++", "--a0", "1"), "--a0 needs 2 values, got 1"),
+    ], ids=["type-B", "a0-not-float", "a0-count"])
+    def test_bad_input_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", "--rank", "2", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_simulate_deterministic(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--rank", "1", "--signs", "-",
                          "--output", "-")

@@ -158,6 +158,11 @@ class TestSmith:
 
 
 class TestHomology:
+    @pytest.mark.parametrize("torsion,message", [((1,), "ints >= 2"), ((2, 3), "divisibility chain")])
+    def test_malformed_torsion_rejected(self, torsion, message):
+        with pytest.raises(ValueError, match=message):
+            HomologyGroup(0, torsion)
+
     def test_a2_gold(self, W_A2):
         groups = homology_of(build_chain_complex(W_A2))
         assert groups[0] == HomologyGroup(1, ())

@@ -11,17 +11,46 @@ from todatopo import (
     UnsupportedTypeError,
     cartan_matrix,
     generate_weyl_group,
+    incidence,
+    is_transversal,
 )
-from todatopo.lie import DEFAULT_MAX_ORDER, WeylGroup
+from todatopo.lie import _RANK_RANGES, DEFAULT_MAX_ORDER, WeylGroup
 
-from test_homology import LIE_TYPES
+from test_homology import LIE_TYPES, det
 
 
 def dense(C):
     return [list(row) for row in C.entries]
 
 
+# det C of each simple type: A_l l + 1, B_l and C_l 2, D_l 4, E_l 9 - l, F4 and G2 1.
+DETERMINANT = {"A": lambda l: l + 1, "B": lambda l: 2, "C": lambda l: 2, "D": lambda l: 4,
+               "E": lambda l: 9 - l, "F": lambda l: 1, "G": lambda l: 1}
+SUPPORTED = [(t, l) for t, (lo, hi) in _RANK_RANGES.items() for l in range(lo, hi + 1)]
+
+
 class TestCartanMatrix:
+    def test_supported_table_size(self):
+        assert len(SUPPORTED) == 65
+
+    @pytest.mark.parametrize("letter,rank", SUPPORTED, ids=[f"{t}{l}" for t, l in SUPPORTED])
+    def test_every_supported_type_has_its_determinant(self, letter, rank):
+        # The constructor checks finite type; the determinant tells the type apart.
+        C = cartan_matrix(letter, rank)
+        assert (C.type_label, C.rank) == (letter, rank)
+        assert det(dense(C)) == DETERMINANT[letter](rank)
+
+    @pytest.mark.parametrize("entries,message", [
+        ([], "empty matrix"), ([[2, -1], [-1]], "not square"), ([[2, -1], [-1, 3]], "diagonal"),
+    ], ids=["empty", "not-square", "diagonal"])
+    def test_malformed_entries_rejected(self, entries, message):
+        with pytest.raises(InvalidCartanMatrixError, match=message):
+            CartanMatrix.from_entries(entries)
+
+    def test_declared_rank_must_match(self):
+        with pytest.raises(InvalidCartanMatrixError, match="declared rank"):
+            CartanMatrix("A", 3, ((2, -1), (-1, 2)))
+
     def test_a2(self):
         assert dense(cartan_matrix("A", 2)) == [[2, -1], [-1, 2]]
 
@@ -366,6 +395,21 @@ def test_element_of_another_group_rejected(W_A2, W_B2):
     for call in calls:
         with pytest.raises(ConfigError, match="elements from different groups"):
             call()
+
+
+@pytest.mark.parametrize("other", [3, "x", None])
+@pytest.mark.parametrize("call", [
+    lambda W, x: W.multiply(W[1], x),
+    lambda W, x: W.inverse(x),
+    lambda W, x: W.min_coset_rep(x, [1]),
+    lambda W, x: W.sends_simple_root_negative(x, 1),
+    lambda W, x: is_transversal(W[1], x),
+    lambda W, x: incidence(W[1], x),
+], ids=["multiply", "inverse", "min_coset_rep", "sends_simple_root_negative", "is_transversal",
+        "incidence"])
+def test_non_element_rejected(W_A2, call, other):
+    with pytest.raises(ConfigError, match="not Weyl elements"):
+        call(W_A2, other)
 
 
 class TestSimpleRootIndices:

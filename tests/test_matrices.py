@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from todatopo import CorruptComplexError, IntMatrix, build_chain_complex
+from todatopo import CorruptComplexError, IntMatrix, build_chain_complex, invariant_factors
 from todatopo.cells import ChainComplex
 
 
@@ -47,6 +48,16 @@ class TestSquareZero:
         with pytest.raises(CorruptComplexError, match="degree 3"):
             ChainComplex(((0,), (0, 1), (0,), (0,)), (IntMatrix(0, 1), d1, d2, d3))
 
+    @pytest.mark.parametrize("bases,boundaries,message", [
+        (((0,), (0,)), (IntMatrix(0, 1),), "disagree in length"),
+        (((0,), (0, 1)), (IntMatrix(0, 1), IntMatrix(1, 3)), "boundary 1 has wrong column count"),
+        (((0,), (0, 1)), (IntMatrix(0, 1), IntMatrix(2, 2)), "boundary 1 has wrong row count"),
+        (((0,),), (IntMatrix(1, 1),), "boundary 0 has wrong row count"),
+    ], ids=["length", "columns", "rows", "rows-degree-0"])
+    def test_shapes_checked(self, bases, boundaries, message):
+        with pytest.raises(CorruptComplexError, match=message):
+            ChainComplex(bases, boundaries)
+
     def test_validated_once_per_complex(self, W_A3, monkeypatch):
         calls = []
         original = ChainComplex.validate
@@ -84,3 +95,16 @@ class TestIntMatrix:
     def test_entries_constructor_validates(self, entries):
         with pytest.raises(ValueError):
             IntMatrix(2, 3, entries)
+
+    def test_mapping_form_stores_python_ints(self):
+        mat = IntMatrix(2, 1, {(np.int64(1), np.int64(0)): np.int64(-4)})
+        assert mat.columns == ({1: -4},)
+        assert [type(x) for x in (*mat.columns[0], *mat.columns[0].values())] == [int, int]
+
+    def test_int64_entries_stay_exact(self):
+        # b**2 - 1 overflows int64 for b = 3**39; read as Python ints it does not.
+        b = np.int64(3**39)
+        dense = [[b, np.int64(1)], [np.int64(1), b]]
+        entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)}
+        assert invariant_factors(IntMatrix(2, 2, entries)) == (1, 3**78 - 1)
+        assert invariant_factors(IntMatrix.from_dense(dense)) == (1, 3**78 - 1)

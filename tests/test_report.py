@@ -16,7 +16,7 @@ from todatopo import (
 
 @pytest.mark.parametrize("rows", [0, 1, 3000])
 def test_dump_json_matches_json_dumps(rows):
-    # 3000 rows make about 60k encoder chunks, so the text is joined from many batches.
+    # The layout every JSON artifact shares, on floats, None, non-ASCII text and empty containers.
     obj = {"schema_version": 1, "rows": [{"i": i, "v": [i, -i / 3, None, "é"], "ok": i % 2 == 0}
                                          for i in range(rows)], "empty": {}}
     assert report.dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

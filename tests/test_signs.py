@@ -36,6 +36,10 @@ class TestStrings:
 
 
 class TestSimpleReflection:
+    def test_sign_vector_of_wrong_length_rejected(self):
+        with pytest.raises(ConfigError, match="length 3, expected 2"):
+            apply_simple_reflection(1, (1, 1, 1), cartan_matrix("A", 2))
+
     def test_a2_known_color_changes(self):
         C = cartan_matrix("A", 2)
         assert apply_simple_reflection(1, (-1, 1), C) == (-1, -1)

@@ -19,6 +19,15 @@ from todatopo.errors import ConfigError
 floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
+class TestState:
+    @pytest.mark.parametrize("a,b,message", [
+        ((0.0,), (1.0, 1.0), "equal length"), ((), (), "rank must be at least 1"),
+    ], ids=["unequal", "empty"])
+    def test_malformed_state_rejected(self, a, b, message):
+        with pytest.raises(ConfigError, match=message):
+            TodaState(a, b)
+
+
 class TestAssemble:
     def test_n2(self):
         X = assemble_matrix(TodaState((0.5,), (-2.0,)))
