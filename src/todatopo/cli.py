@@ -376,17 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _take_signs(argv: list) -> tuple[list, str | None]:
-    """Split the value off ``--signs X`` or ``--signs=X``.
+    """Split the value off every ``--signs X`` or ``--signs=X``; the last one
+    wins, as for every other option.
 
     argparse reads a value such as '-+' as an option and drops the value
     '--', so it is handed an empty ``--signs=`` and the value is set after.
     """
-    for k, tok in enumerate(argv):
+    rest, signs, k = [], None, 0
+    while k < len(argv):
+        tok = argv[k]
         if tok == "--signs" and k + 1 < len(argv):
-            return argv[:k] + ["--signs="] + argv[k + 2 :], argv[k + 1]
-        if tok.startswith("--signs="):
-            return argv[:k] + ["--signs="] + argv[k + 1 :], tok[len("--signs=") :]
-    return argv, None
+            tok, signs, k = "--signs=", argv[k + 1], k + 1
+        elif tok.startswith("--signs="):
+            tok, signs = "--signs=", tok[len("--signs=") :]
+        rest.append(tok)
+        k += 1
+    return rest, signs
 
 
 def main(argv=None) -> int:

@@ -457,6 +457,17 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["signs"] == argv[-1].split("=")[-1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--signs=++", "--signs=--"), ("--signs=++", "--signs", "-+"), ("--signs", "+-", "--signs=-+")],
+        ids=" ".join,
+    )
+    def test_repeated_signs_last_wins(self, capsys, argv):
+        # as for --tmax and every other option, the last occurrence is the one read
+        code, out, _ = run(capsys, "simulate", "--rank", "2", *argv, "--tmax", "0.1", "--output", "-")
+        assert code == 0
+        assert json.loads(out)["signs"] == argv[-1].split("=")[-1]
+
     def test_bad_sign_string(self, capsys):
         code, _, err = run(capsys, "simulate", "--rank", "2", "--signs=-x")
         assert code == 1

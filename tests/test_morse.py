@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import accumulate
+from math import comb
 
 import pytest
 
@@ -23,7 +25,7 @@ from todatopo import (
     toda_graph,
 )
 from todatopo.errors import ConfigError, CorruptComplexError
-from todatopo.morse import stable_set, unstable_set
+from todatopo.morse import MAX_PRINCIPAL_RANK, stable_set, unstable_set
 
 
 def s_word(W, i, j):
@@ -269,6 +271,40 @@ class TestPrincipalGraph:
             principal_graph(l)
 
 
+def count_exact_ascent_set(l, T):
+    """Reference: elements of the rank-l A-series Weyl group whose unstable set is the mask T
+    (bit p - 1 for root p), by the descent-set recursion on permutations of l+1 letters:
+    f[j] counts the arrangements of the first letters whose last letter ranks j among them."""
+    f = [1]
+    for p in range(l):
+        pre = [0, *accumulate(f)]
+        f = pre if T >> p & 1 else [pre[-1] - s for s in pre]
+    return sum(f)
+
+
+def whisker_sum_by_masks(l, k):
+    """Reference: the signed whisker sum over all 2^l masks T with k maximal blocks
+    (T & ~(T << 1) keeps the first root of each block)."""
+    return sum(
+        (-1) ** (T.bit_count() - k) * count_exact_ascent_set(l, T)
+        for T in range(1 << l)
+        if (T & ~(T << 1)).bit_count() == k
+    )
+
+
+def euler_zigzag(n):
+    """E_0..E_n, the Euler zigzag numbers, by Seidel's boustrophedon: each row starts at 0 and
+    adds the row before it read backwards; E_m ends row m."""
+    row, out = [1], [1]
+    for _ in range(n):
+        nxt = [0]
+        for x in reversed(row):
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        out.append(row[-1])
+    return out
+
+
 class TestBettiFormulas:
     def test_poincare_small(self):
         assert poincare_polynomial(2) == (4, 1)  # q + 4
@@ -317,15 +353,30 @@ class TestBettiFormulas:
 
     @pytest.mark.parametrize("fix,l", [("W_A2", 2), ("W_A3", 3), ("W_A4", 4), ("A5", 5)])
     def test_whisker_counts_against_enumeration(self, fix, l, request):
-        from todatopo.morse import _count_exact_ascent_set
-
         if fix == "A5":
             W = generate_weyl_group(cartan_matrix("A", 5))
         else:
             W = request.getfixturevalue(fix)
         by_set = Counter(sum(1 << (i - 1) for i in unstable_set(w)) for w in W)
         for T, count in by_set.items():
-            assert _count_exact_ascent_set(l, T) == count
+            assert count_exact_ascent_set(l, T) == count
+
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_transfer_sum_matches_mask_sum(self, l):
+        assert [conjectured_betti(l, k) for k in range(1, l + 1)] == [
+            whisker_sum_by_masks(l, k) for k in range(1, l + 1)
+        ]
+
+    def test_zigzag_numbers(self):
+        assert euler_zigzag(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+
+    @pytest.mark.parametrize("l", range(1, MAX_PRINCIPAL_RANK + 1))
+    def test_henderson_identity(self, l):
+        # Henderson: the k-th Betti number of the real toric variety of type A_l is C(l+1, 2k) E_2k
+        E = euler_zigzag(2 * l)
+        assert [conjectured_betti(l, k) for k in range(1, l + 1)] == [
+            comb(l + 1, 2 * k) * E[2 * k] for k in range(1, l + 1)
+        ]
 
     @pytest.mark.parametrize("l", range(1, 6))
     def test_conjecture_against_enumeration(self, l):
