@@ -40,12 +40,20 @@ lists the pairs of each degree by it, a gradient order that
 are critical: one per w, with S the vertices outside the descent set of
 w, all Red, in degree |Desc(w)|.  So the critical cells of degree k are
 counted by the elements with k descents.
+
+Cells are listed by colored set, then coloring, then rep
+(``enumerate_cells``), so a cell's place is arithmetic: offset(S) +
+t(red) * |W^S| + rank_S(w), with t(red) the Red bits of S read as a
+binary number, the least vertex most significant.  Assembly finds each face's row that
+way and keeps no index of the cells.  Every boundary entry is +-1, so
+the square-zero check compares, per column of d_k, the sorted rows of
+the +1 terms of d_(k-1) d_k with those of the -1 terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import ConfigError, CorruptComplexError, NotInSubgroupError, checked_index
 from .lie import WeylElement, WeylGroup
@@ -170,6 +178,25 @@ def diagram_boundary(
     return (-1) ** (j + c + 1), ColoredDynkinDiagram(diagram.rank, diagram.mask | bit, red)
 
 
+def _group(W) -> WeylGroup:
+    if not isinstance(W, WeylGroup):
+        raise ConfigError(f"expected a WeylGroup, got {type(W).__name__}")
+    return W
+
+
+def _blocks(W: WeylGroup, codim: int):
+    """The colored sets S of a codimension in basis order, each as its mask, its Red masks
+    in basis order and the minimal coset reps of W_S.
+
+    The sets run lexicographically and the colorings Blue before Red per vertex, the least
+    vertex slowest, so a Red mask's place t(red) reads its bits with the least vertex most
+    significant.
+    """
+    for S in combinations(range(1, W.rank + 1), codim):
+        bits = [1 << (v - 1) for v in S]
+        yield sum(bits), [sum(reds) for reds in product(*((0, b) for b in bits))], W.coset_min_reps(S)
+
+
 def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     """All canonical cells of the given codimension, in basis order.
 
@@ -177,21 +204,42 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     Blue before Red per vertex, then coset representatives by
     (length, word).  The count is ``sum over |S|=codim of 2^codim * |W| / |W_S|``.
     """
-    l = W.rank
+    l = _group(W).rank
     codim = checked_index(codim, 0, l, "codimension")
     out = []
-    for S in combinations(range(1, l + 1), codim):
-        reps = W.coset_min_reps(S)
-        bits = [1 << (v - 1) for v in S]
-        for reds in product(*((0, b) for b in bits)):
-            diagram = ColoredDynkinDiagram(l, sum(bits), sum(reds))
-            for rep in reps:
-                out.append(Cell(diagram, rep))
+    for S, reds, reps in _blocks(W, codim):
+        for red in reds:
+            diagram = ColoredDynkinDiagram(l, S, red)
+            out += [Cell(diagram, rep) for rep in reps]
     return tuple(out)
 
 
+def _row_tables(W: WeylGroup, codim: int) -> dict:
+    """Where each cell of a codimension sits in ``enumerate_cells``' order, by arithmetic.
+
+    Per colored mask S: ``{red: rows}``, where ``rows`` lists the rows of that coloring's
+    cells, and ``rank``, which maps a group position to its place among the minimal coset
+    reps of W_S (None off them).  The cell (S, red, w) is ``rows[rank[w]]``, that is
+    offset(S) + t(red) * |W^S| + rank_S(w).  Every row is a slice of one
+    ``list(range(n))``, so the columns that store a row share its int.
+    """
+    blocks = list(_blocks(W, codim))
+    rows = list(range(sum(len(reds) * len(reps) for _, reds, reps in blocks)))
+    tables, start = {}, 0
+    for S, reds, reps in blocks:
+        n, rank = len(reps), [None] * len(W)
+        for r, rep in enumerate(reps):
+            rank[rep.position] = r
+        by_red = {}
+        for red in reds:
+            by_red[red] = rows[start:start + n]
+            start += n
+        tables[S] = by_red, rank
+    return tables
+
+
 def cell_count_formula(W: WeylGroup, codim: int) -> int:
-    l = W.rank
+    l = _group(W).rank
     codim = checked_index(codim, 0, l, "codimension")
     return sum(
         2**codim * len(W) // W.parabolic_order(S)
@@ -250,23 +298,50 @@ class ChainComplex:
     def validate(self) -> None:
         """Check the square-zero identity exactly; raise if it fails.
 
-        d_(k-1) applied to each column of d_k, one column at a time, must
-        vanish; no product matrix is formed.
+        No product matrix is formed.  Where every entry of d_k and of d_(k-1)
+        is +-1, as in every cellular complex, the terms of d_(k-1) applied to
+        a column of d_k are +-1 too, +1 exactly when their two entries are
+        equal, so the column vanishes when the sorted rows of its +1 terms
+        equal those of its -1 terms.  Any other degree (the Morse complex,
+        with entries +-2, or a hand-built one) sums d_(k-1) applied to each
+        column with ``IntMatrix.apply``.
         """
+        units = [set(chain.from_iterable(map(dict.values, m.columns))) <= {1, -1}
+                 for m in self.boundaries]
         for k in range(2, self.top_degree + 1):
-            lower = self.boundaries[k - 1]
-            for col in self.boundaries[k].columns:
-                if any(lower.apply(col).values()):
-                    raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
+            if units[k] and units[k - 1]:
+                lower = self.boundaries[k - 1].columns
+                for col in self.boundaries[k].columns:
+                    plus, minus = [], []
+                    for r, a in col.items():
+                        for q, b in lower[r].items():
+                            if a == b:
+                                plus.append(q)
+                            else:
+                                minus.append(q)
+                    plus.sort()
+                    minus.sort()
+                    if plus != minus:
+                        raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
+            else:
+                lower = self.boundaries[k - 1]
+                for col in self.boundaries[k].columns:
+                    if any(lower.apply(col).values()):
+                        raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
 
 
-def _faces(D: ColoredDynkinDiagram) -> list:
-    """Faces of D in (j, c) order: sign, masks, and the new vertex's bit if Blue (-1 if Red)."""
+def _faces(D: ColoredDynkinDiagram, tables) -> list:
+    """Faces of D, one entry per j: the literal signs of its Red and Blue faces, the new
+    vertex's bit, the faces' colored mask S, D's Red mask, S's row tables, and the rows of
+    the Red and Blue faces of the cells whose rep they keep."""
     out = []
-    for j in range(1, len(D.uncolored) + 1):
-        for c in (1, 2):
-            sgn, face = diagram_boundary(D, j, c)
-            out.append((sgn, face.mask, face.red, face.mask ^ D.mask if c == 2 else -1))
+    for j, v in enumerate(D.uncolored, 1):
+        bit = 1 << (v - 1)
+        S, red = D.mask | bit, D.red
+        by_red, rank = tables[S]
+        sgn_red = diagram_boundary(D, j, 1)[0]
+        sgn_blue = diagram_boundary(D, j, 2)[0]
+        out.append((sgn_red, sgn_blue, bit, S, red, by_red, rank, by_red[red | bit], by_red[red]))
     return out
 
 
@@ -276,11 +351,13 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     Boundary of a cell (D, [w]): for each (j, c) the colored diagram gains
     a vertex with the literal sign, the coset is re-minimized in the larger
     parabolic, and the residual rep^-1 * w, spelled by the walk that finds
-    rep, is pushed onto the diagram with its orientation sign.  A cell
-    whose least vertex of A (module docstring) is uncolored is matched
-    with its Blue face on that vertex, whose row the same pass looks up,
-    and filed under the key (-l(w), min A) that the pair shares; each
-    degree joins its pairs in key order when done.
+    rep, is pushed onto the diagram with its orientation sign.  The Red and
+    Blue faces of one j share the walk.  A face's row is arithmetic on the
+    basis order (``_row_tables``, built for one degree at a time), with no
+    index of the cells.  A cell whose least vertex of A (module docstring)
+    is uncolored is matched with its Blue face on that vertex, whose row
+    the same pass finds, and filed under the key (-l(w), min A) that the
+    pair shares; each degree joins its pairs in key order when done.
 
     Each face is one entry, +-1, in a row of its own: faces with different
     j color different vertices, and the Red and Blue faces of one j share
@@ -288,7 +365,7 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     bijection on Red masks: each letter's step is an involution, as it
     keeps its own bit (C_ii = 2 is even).
     """
-    odd = _odd_columns(W.cartan)
+    odd = _odd_columns(_group(W).cartan)
     descents = W._descents
     l = W.rank
     full = (1 << l) - 1
@@ -296,33 +373,37 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     boundaries = [IntMatrix(0, len(bases[0]))]
     matching = []
     for k in range(1, l + 1):
-        row_of = {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i
-                  for i, cell in enumerate(bases[k - 1])}
+        tables = _row_tables(W, l - k + 1)
         columns = []
         buckets: dict[int, dict[int, int]] = {}  # gradient key -> {face: cell}
         D = None
         for i, cell in enumerate(bases[k]):
             if cell.diagram is not D:  # a diagram's cells come one after another
                 D = cell.diagram
-                fs, blue, uncolored = _faces(D), D.mask ^ D.red, full ^ D.mask
+                fs, blue, uncolored = _faces(D, tables), D.mask ^ D.red, full ^ D.mask
             w = cell.rep.position
             dw = descents[w]
             free = uncolored & ~dw
             A = blue | free
             down = A & -A & free  # the least vertex of A if it is uncolored, else 0
             column: dict[int, int] = {}
-            for sgn, S, red, bit in fs:
-                if dw & S:  # the new vertex is a descent of w: walk to the face's rep
+            for sgn_red, sgn_blue, bit, S, red, by_red, rank, red_rows, blue_rows in fs:
+                if dw & bit:  # the new vertex is a descent of w (w has none in D's mask)
                     rep, letters = W._coset_walk(w, S)
-                    osgn, red = _act(letters, S, red, odd)
-                    column[row_of[(S, red, rep)]] = sgn * osgn
-                else:  # the face keeps w, with no residual letters: a row of its own
-                    r = row_of[(S, red, w)]
-                    column[r] = sgn
+                    r = rank[rep]
+                    osgn, face_red = _act(letters, S, red | bit, odd)
+                    column[by_red[face_red][r]] = sgn_red * osgn
+                    osgn, face_red = _act(letters, S, red, odd)
+                    column[by_red[face_red][r]] = sgn_blue * osgn
+                else:  # both faces keep w, with no residual letters
+                    r = rank[w]
+                    column[red_rows[r]] = sgn_red
+                    r = blue_rows[r]
+                    column[r] = sgn_blue
                     if bit == down:  # key (-l(w), min A), shared by the pair
                         buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
-        del row_of  # freed before the join and the next degree's index: one index at a time
+        del tables, fs  # freed before the join and the next degree's tables
         matching.append({t: i for key in sorted(buckets) for t, i in buckets[key].items()})
     return ChainComplex(bases, tuple(boundaries), tuple(matching))

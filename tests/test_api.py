@@ -83,6 +83,10 @@ class TestPublicNames:
     (lambda: todatopo.IntMatrix.from_columns(2, [{0.5: 1}]), ValueError),
     (lambda: todatopo.IntMatrix.from_columns(
         2, [{0: np.int64(3**39), 1: np.int64(1)}, {0: np.int64(1), 1: np.int64(3**39)}]), ValueError),
+    # A group that is not a WeylGroup raised an AttributeError.
+    (lambda: todatopo.build_chain_complex(todatopo.cartan_matrix("A", 2)), todatopo.ConfigError),
+    (lambda: todatopo.enumerate_cells("x", 1), todatopo.ConfigError),
+    (lambda: cell_count_formula(todatopo.cartan_matrix("A", 2), 1), todatopo.ConfigError),
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
        "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
@@ -90,7 +94,8 @@ class TestPublicNames:
        "HomologyGroup-negative", "HomologyGroup-float", "diagram-mask", "diagram-rank",
        "diagram-red", "diagram-negative-rank", "conjectured_betti-degree", "eta-float",
        "eta-out-of-range", "from_columns-value", "from_columns-integral-float", "from_columns-row",
-       "from_columns-int64"])
+       "from_columns-int64", "build_chain_complex-group", "enumerate_cells-group",
+       "cell_count_formula-group"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

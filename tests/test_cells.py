@@ -6,6 +6,7 @@ from todatopo import (
     CartanMatrix,
     Cell,
     ColoredDynkinDiagram,
+    CorruptComplexError,
     NotInSubgroupError,
     build_chain_complex,
     cartan_matrix,
@@ -15,8 +16,10 @@ from todatopo import (
     ws_act_on_diagram,
     ws_act_oriented,
 )
-from todatopo.cells import cell_count_formula
+from todatopo import cells
+from todatopo.cells import _row_tables, cell_count_formula
 from todatopo.errors import ConfigError
+from todatopo.signs import _act, _odd_columns
 
 from test_homology import LIE_TYPES
 
@@ -24,6 +27,60 @@ from test_homology import LIE_TYPES
 def colors(D):
     """(vertex, sign) pairs of a diagram, sorted by vertex."""
     return tuple((v, D.eta(v)) for v in D.colored_vertices)
+
+
+def reference_assembly(W, bases):
+    """Boundary columns and matchings of degrees 1..rank by the tuple-indexed assembly.
+
+    Each degree builds a row index of the degree below, keyed by (S, red, position), and
+    each face of each j walks its own coset: the assembly that ``build_chain_complex``
+    ran before it found rows by arithmetic on the basis order.
+    """
+    odd = _odd_columns(W.cartan)
+    l = W.rank
+    full = (1 << l) - 1
+    columns, matchings = [], []
+    for k in range(1, l + 1):
+        row_of = {(cell.diagram.mask, cell.diagram.red, cell.rep.position): i
+                  for i, cell in enumerate(bases[k - 1])}
+        degree, buckets = [], {}
+        for i, cell in enumerate(bases[k]):
+            D, w = cell.diagram, cell.rep.position
+            dw = W._descents[w]
+            free = (full ^ D.mask) & ~dw
+            A = (D.mask ^ D.red) | free
+            down = A & -A & free
+            column = {}
+            for j in range(1, len(D.uncolored) + 1):
+                for c in (1, 2):
+                    sgn, face = diagram_boundary(D, j, c)
+                    S, red = face.mask, face.red
+                    if dw & S:
+                        rep, letters = W._coset_walk(w, S)
+                        osgn, red = _act(letters, S, red, odd)
+                        column[row_of[(S, red, rep)]] = sgn * osgn
+                    else:
+                        r = row_of[(S, red, w)]
+                        column[r] = sgn
+                        if c == 2 and S ^ D.mask == down:
+                            buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
+            degree.append(column)
+        columns.append(degree)
+        matchings.append({t: i for key in sorted(buckets) for t, i in buckets[key].items()})
+    return columns, matchings
+
+
+def blue_letters(letters, S, red, odd):
+    """``signs._act`` with its orientation flip read on Blue letters, not Red; the recolor
+    is unchanged, so every face keeps its row and only the square-zero check can see it."""
+    sign = 1
+    for i in letters:
+        if red >> i & 1:
+            red ^= odd[i] & S
+        elif (odd[i] & ~S).bit_count() & 1:
+            sign = -sign
+    return sign, red
+
 
 # Boundary matrices of the rank-2 A-type complex, derived by hand and
 # frozen; the basis order is (S lex, coloring with Blue first, coset rep
@@ -180,6 +237,24 @@ class TestEnumeration:
                 S = cell.diagram.colored_vertices
                 assert W_A3.min_coset_rep(cell.rep, S) is cell.rep
 
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES)
+    def test_row_formula_finds_every_cell(self, letter, rank):
+        # Row of (S, red, w) = offset(S) + t(red) * |W^S| + rank_S(w), with t(red) the Red
+        # bits of S read as a binary number, the least vertex most significant.
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        for codim in range(rank + 1):
+            tables = _row_tables(W, codim)
+            offset, reps = 0, {}
+            for i, cell in enumerate(enumerate_cells(W, codim)):
+                D = cell.diagram
+                S = D.colored_vertices
+                if D.mask not in reps:  # the first cell of a colored set
+                    offset, reps[D.mask] = i, W.coset_min_reps(S)
+                t = int("".join(str(D.red >> (v - 1) & 1) for v in S) or "0", 2)
+                r = reps[D.mask].index(cell.rep)
+                by_red, rank_of = tables[D.mask]
+                assert by_red[D.red][rank_of[cell.rep.position]] == i == offset + t * len(reps[D.mask]) + r
+
     def test_cell_dimensions(self, W_A3):
         for codim in range(4):
             for cell in enumerate_cells(W_A3, codim):
@@ -245,6 +320,34 @@ class TestChainComplex:
             for cell, col in zip(cx.bases[k], cx.boundary(k).columns):
                 assert len(col) == 2 * len(cell.diagram.uncolored)
                 assert set(col.values()) <= {1, -1}
+
+    @pytest.mark.parametrize("letter,rank", LIE_TYPES + [
+        pytest.param("A", 5, marks=pytest.mark.slow), pytest.param("D", 5, marks=pytest.mark.slow),
+    ])
+    def test_matches_tuple_indexed_reference(self, letter, rank):
+        # Same columns and matchings, in content and in insertion order: boundaries_csv and
+        # homology_of read them in that order.
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        cx = build_chain_complex(W)
+        columns, matchings = reference_assembly(W, cx.bases)
+        for k in range(1, rank + 1):
+            assert [list(col.items()) for col in cx.boundary(k).columns] == [
+                list(col.items()) for col in columns[k - 1]]
+        assert [list(m.items()) for m in cx.matching] == [list(m.items()) for m in matchings]
+
+    def test_a_row_is_one_int_object(self, W_A4):
+        # Every entry in a row stores the same int, not one int per entry.
+        cx = build_chain_complex(W_A4)
+        for k in range(1, 5):
+            keys = [r for col in cx.boundary(k).columns for r in col]
+            assert len({id(r) for r in keys}) == len(set(keys))
+
+    @pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+    def test_blue_letters_fault_fails_square_zero(self, letter, rank, monkeypatch):
+        W = generate_weyl_group(cartan_matrix(letter, rank))
+        monkeypatch.setattr(cells, "_act", blue_letters)
+        with pytest.raises(CorruptComplexError, match="boundary composition"):
+            build_chain_complex(W)
 
     def test_euler_characteristic_a2(self, W_A2):
         assert build_chain_complex(W_A2).euler_characteristic() == -2

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from todatopo import CorruptComplexError, IntMatrix, build_chain_complex, invariant_factors
+from todatopo import (
+    CorruptComplexError,
+    IntMatrix,
+    build_chain_complex,
+    invariant_factors,
+    morse_complex,
+)
 from todatopo.cells import ChainComplex
 
 
@@ -47,6 +53,39 @@ class TestSquareZero:
         d3 = IntMatrix.from_columns(1, [{0: 1}])
         with pytest.raises(CorruptComplexError, match="degree 3"):
             ChainComplex(((0,), (0, 1), (0,), (0,)), (IntMatrix(0, 1), d1, d2, d3))
+
+    def test_two_same_sign_paths_fail(self):
+        # Every entry is +-1, and d1 d2 = 2 at the one vertex: no -1 term meets the two +1s.
+        d1 = IntMatrix.from_columns(1, [{0: 1}, {0: -1}])
+        d2 = IntMatrix.from_columns(2, [{0: 1, 1: -1}])
+        with pytest.raises(CorruptComplexError, match="degree 2"):
+            ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1), d1, d2))
+
+    @pytest.mark.parametrize("d1,d2", [
+        ([{0: 2}, {0: 1}, {0: 1}], [{0: 1, 1: -1, 2: -1}]),
+        ([{0: 1}, {0: 1}, {0: 1}], [{0: 2, 1: -1, 2: -1}]),
+    ], ids=["lower", "upper"])
+    def test_non_unit_entries_cancel_as_a_sum(self, d1, d2):
+        # d1 d2 = 2 - 1 - 1: no single term cancels another, only the sum vanishes.
+        ChainComplex(((0,), (0, 1, 2), (0,)),
+                     (IntMatrix(0, 1), IntMatrix.from_columns(1, d1), IntMatrix.from_columns(3, d2)))
+
+    def test_unit_degree_over_non_unit_lower_is_summed(self):
+        # d2 is +-1 but d1 is not, so the degree is summed: 1 + 2 = 3.  Matched as two
+        # signs (+1 when equal, -1 when not), its terms would seem to cancel.
+        d1 = IntMatrix.from_columns(1, [{0: 1}, {0: 2}])
+        d2 = IntMatrix.from_columns(2, [{0: 1, 1: 1}])
+        with pytest.raises(CorruptComplexError, match="degree 2"):
+            ChainComplex(((0,), (0, 1), (0,)), (IntMatrix(0, 1), d1, d2))
+
+    def test_only_non_unit_degrees_are_summed(self, W_A3, monkeypatch):
+        applied = []
+        original = IntMatrix.apply
+        monkeypatch.setattr(IntMatrix, "apply", lambda m, col: applied.append(m) or original(m, col))
+        build_chain_complex(W_A3)
+        assert applied == []
+        cx = morse_complex(W_A3)  # entries +-2: every degree is summed, and it validates
+        assert {id(m) for m in applied} == {id(cx.boundary(1)), id(cx.boundary(2))}
 
     @pytest.mark.parametrize("bases,boundaries,message", [
         (((0,), (0,)), (IntMatrix(0, 1),), "disagree in length"),
