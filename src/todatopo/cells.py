@@ -9,10 +9,13 @@ one more vertex, with the literal sign ``(-1) ** (j + c + 1)`` where j
 counts uncolored vertices in increasing root order and c = 1 colors Red,
 c = 2 Blue.
 
-Pushing a residual x in W_S through a diagram runs ``signs._act`` on its
-two masks: the sign action on the colored coordinates and, per letter
-s_i, an orientation factor ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``,
-the determinant of the wall-gluing map on the cell's free coordinates.
+Pushing a residual x in W_S through a diagram acts on its two masks by
+the rule of ``signs._act``: the sign action on the colored coordinates and,
+per letter s_i, an orientation factor
+``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``, the determinant of
+the wall-gluing map on the cell's free coordinates.  ``ws_act_oriented``
+calls ``_act``; assembly applies the same step inline, letter by letter
+along the coset walk that finds the face's rep.
 With it the boundary squares to zero and the rank-2 A-type complex
 reproduces the gold homology (Z, Z^3 + Z/2, 0).
 
@@ -330,10 +333,11 @@ class ChainComplex:
                         raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
 
 
-def _faces(D: ColoredDynkinDiagram, tables) -> list:
+def _faces(D: ColoredDynkinDiagram, tables, flips, inside) -> list:
     """Faces of D, one entry per j: the literal signs of its Red and Blue faces, the new
-    vertex's bit, the faces' colored mask S, D's Red mask, S's row tables, and the rows of
-    the Red and Blue faces of the cells whose rep they keep."""
+    vertex's bit, the faces' colored mask S, D's Red mask, S's row tables, the rows of
+    the Red and Blue faces of the cells whose rep they keep, and S's orientation-flip
+    mask and per-letter recolors (``build_chain_complex``)."""
     out = []
     for j, v in enumerate(D.uncolored, 1):
         bit = 1 << (v - 1)
@@ -341,7 +345,8 @@ def _faces(D: ColoredDynkinDiagram, tables) -> list:
         by_red, rank = tables[S]
         sgn_red = diagram_boundary(D, j, 1)[0]
         sgn_blue = diagram_boundary(D, j, 2)[0]
-        out.append((sgn_red, sgn_blue, bit, S, red, by_red, rank, by_red[red | bit], by_red[red]))
+        out.append((sgn_red, sgn_blue, bit, S, red, by_red, rank, by_red[red | bit], by_red[red],
+                    flips[S], inside[S]))
     return out
 
 
@@ -359,16 +364,28 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     the same pass finds, and filed under the key (-l(w), min A) that the
     pair shares; each degree joins its pairs in key order when done.
 
+    The push runs inline along the walk: each step w -> w * s_(i+1) by a
+    right descent i in S applies ``signs._act``'s rule for letter i to the
+    Red masks of both faces at once.  The rule needs two things that depend
+    on S alone, tabled once per call: whether letter i flips the orientation
+    (an odd count of odd C_{j,i} outside S) and its recolor ``odd[i] & S``.
+    ``test_matches_tuple_indexed_reference`` holds this loop equal to a
+    reference assembly that calls ``signs._act``.
+
     Each face is one entry, +-1, in a row of its own: faces with different
     j color different vertices, and the Red and Blue faces of one j share
-    S, so the same residual letters, whose push (``signs._act``) is a
-    bijection on Red masks: each letter's step is an involution, as it
-    keeps its own bit (C_ii = 2 is even).
+    S, so the same residual letters, whose push is a bijection on Red
+    masks: each letter's step is an involution, as it keeps its own bit
+    (C_ii = 2 is even).
     """
     odd = _odd_columns(_group(W).cartan)
-    descents = W._descents
+    descents, right = W._descents, W._right
     l = W.rank
     full = (1 << l) - 1
+    masks = range(full + 1)
+    flips = [sum(((o & ~S).bit_count() & 1) << i for i, o in enumerate(odd)) for S in masks]
+    inside = [[o & S for o in odd] for S in masks]
+    lowest = [(d & -d).bit_length() - 1 for d in masks]
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
     boundaries = [IntMatrix(0, len(bases[0]))]
     matching = []
@@ -380,21 +397,31 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
         for i, cell in enumerate(bases[k]):
             if cell.diagram is not D:  # a diagram's cells come one after another
                 D = cell.diagram
-                fs, blue, uncolored = _faces(D, tables), D.mask ^ D.red, full ^ D.mask
+                fs = _faces(D, tables, flips, inside)
+                blue, uncolored = D.mask ^ D.red, full ^ D.mask
             w = cell.rep.position
             dw = descents[w]
             free = uncolored & ~dw
             A = blue | free
             down = A & -A & free  # the least vertex of A if it is uncolored, else 0
             column: dict[int, int] = {}
-            for sgn_red, sgn_blue, bit, S, red, by_red, rank, red_rows, blue_rows in fs:
+            for sgn_red, sgn_blue, bit, S, red, by_red, rank, red_rows, blue_rows, flip, recolor in fs:
                 if dw & bit:  # the new vertex is a descent of w (w has none in D's mask)
-                    rep, letters = W._coset_walk(w, S)
-                    r = rank[rep]
-                    osgn, face_red = _act(letters, S, red | bit, odd)
-                    column[by_red[face_red][r]] = sgn_red * osgn
-                    osgn, face_red = _act(letters, S, red, odd)
-                    column[by_red[face_red][r]] = sgn_blue * osgn
+                    x, red_face, blue_face = w, red | bit, red
+                    while d := descents[x] & S:
+                        letter = lowest[d]
+                        x = right[x][letter]
+                        if red_face >> letter & 1:
+                            if flip >> letter & 1:
+                                sgn_red = -sgn_red
+                            red_face ^= recolor[letter]
+                        if blue_face >> letter & 1:
+                            if flip >> letter & 1:
+                                sgn_blue = -sgn_blue
+                            blue_face ^= recolor[letter]
+                    r = rank[x]
+                    column[by_red[red_face][r]] = sgn_red
+                    column[by_red[blue_face][r]] = sgn_blue
                 else:  # both faces keep w, with no residual letters
                     r = rank[w]
                     column[red_rows[r]] = sgn_red

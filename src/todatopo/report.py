@@ -141,6 +141,8 @@ def boundaries_csv(cx: ChainComplex):
 
     The triplets come in ``IntMatrix.triplets`` order, (row, col), without a
     sort: walking the columns in order fills each row's bucket in column order.
+    A column's "col,1" and "col,-1" texts, every entry of a cellular boundary,
+    are built once per column.
     """
     yield "degree,row,col,value\n"
     for k in range(1, cx.top_degree + 1):
@@ -148,8 +150,9 @@ def boundaries_csv(cx: ChainComplex):
         buckets = [[] for _ in range(mat.rows)]
         for c, col in enumerate(mat.columns):
             head = f"{c},"
+            plus, minus = head + "1", head + "-1"
             for r, v in col.items():
-                buckets[r].append(head + str(v))
+                buckets[r].append(plus if v == 1 else minus if v == -1 else head + str(v))
         yield "".join(
             f"{k},{r}," + f"\n{k},{r},".join(b) + "\n" for r, b in enumerate(buckets) if b
         )

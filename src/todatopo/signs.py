@@ -6,8 +6,11 @@ subgroup.  A simple reflection s_i sends eps to eps' with
 negative exponent in the character action reduces mod 2.  Words act with
 the rightmost letter applied first, so the action respects the group
 law ``apply_weyl(u*v, eps) == apply_weyl(u, apply_weyl(v, eps))``.
-``_act``, on masks of the -1 entries, is its one implementation; cells run
-it on colored coordinates S, where it also gives an orientation sign (1 for S = all).
+``_act``, on masks of the -1 entries, is the rule's reference; on colored
+coordinates S it also gives an orientation sign (1 for S = all).
+``apply_weyl``, ``cells.ws_act_oriented`` and the Morse incidence call it;
+boundary assembly applies the same step inline along its coset walk, and
+``test_matches_tuple_indexed_reference`` holds the two equal.
 """
 
 from __future__ import annotations

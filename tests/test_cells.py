@@ -5,8 +5,10 @@ import pytest
 from todatopo import (
     CartanMatrix,
     Cell,
+    ChainComplex,
     ColoredDynkinDiagram,
     CorruptComplexError,
+    IntMatrix,
     NotInSubgroupError,
     build_chain_complex,
     cartan_matrix,
@@ -16,7 +18,6 @@ from todatopo import (
     ws_act_on_diagram,
     ws_act_oriented,
 )
-from todatopo import cells
 from todatopo.cells import _row_tables, cell_count_formula
 from todatopo.errors import ConfigError
 from todatopo.signs import _act, _odd_columns
@@ -29,12 +30,13 @@ def colors(D):
     return tuple((v, D.eta(v)) for v in D.colored_vertices)
 
 
-def reference_assembly(W, bases):
+def reference_assembly(W, bases, push=_act):
     """Boundary columns and matchings of degrees 1..rank by the tuple-indexed assembly.
 
     Each degree builds a row index of the degree below, keyed by (S, red, position), and
-    each face of each j walks its own coset: the assembly that ``build_chain_complex``
-    ran before it found rows by arithmetic on the basis order.
+    each face of each j walks its own coset and pushes its residual letters with ``push``
+    (``signs._act`` by default): the assembly that ``build_chain_complex`` ran before it
+    found rows by arithmetic on the basis order and pushed both faces along one walk.
     """
     odd = _odd_columns(W.cartan)
     l = W.rank
@@ -57,7 +59,7 @@ def reference_assembly(W, bases):
                     S, red = face.mask, face.red
                     if dw & S:
                         rep, letters = W._coset_walk(w, S)
-                        osgn, red = _act(letters, S, red, odd)
+                        osgn, red = push(letters, S, red, odd)
                         column[row_of[(S, red, rep)]] = sgn * osgn
                     else:
                         r = row_of[(S, red, w)]
@@ -80,6 +82,22 @@ def blue_letters(letters, S, red, odd):
         elif (odd[i] & ~S).bit_count() & 1:
             sign = -sign
     return sign, red
+
+
+def block_sum(*types):
+    """Cartan matrix of a product of (letter, rank) types, its blocks in the given order."""
+    blocks = [cartan_matrix(*t).entries for t in types]
+    n, at, rows = sum(map(len, blocks)), 0, []
+    for block in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - len(block)) for row in block]
+        at += len(block)
+    return CartanMatrix.from_entries(rows)
+
+
+def relabelled(letter, rank, order):
+    """The (letter, rank) Cartan matrix whose vertex a is the standard vertex order[a - 1]."""
+    C = cartan_matrix(letter, rank).entries
+    return CartanMatrix.from_entries([[C[i - 1][j - 1] for j in order] for i in order])
 
 
 # Boundary matrices of the rank-2 A-type complex, derived by hand and
@@ -321,16 +339,25 @@ class TestChainComplex:
                 assert len(col) == 2 * len(cell.diagram.uncolored)
                 assert set(col.values()) <= {1, -1}
 
-    @pytest.mark.parametrize("letter,rank", LIE_TYPES + [
-        pytest.param("A", 5, marks=pytest.mark.slow), pytest.param("D", 5, marks=pytest.mark.slow),
+    @pytest.mark.parametrize("C", [pytest.param(cartan_matrix(*t), id="-".join(map(str, t)))
+                                   for t in LIE_TYPES] + [
+        pytest.param(cartan_matrix("A", 5), id="A-5", marks=pytest.mark.slow),
+        pytest.param(cartan_matrix("D", 5), id="D-5", marks=pytest.mark.slow),
+        # products and relabelled diagrams: vertex orders that no standard matrix has
+        pytest.param(block_sum(("A", 1), ("A", 1)), id="A1xA1"),
+        pytest.param(block_sum(("A", 2), ("G", 2)), id="A2xG2"),
+        pytest.param(block_sum(("B", 2), ("A", 2)), id="B2xA2"),
+        pytest.param(relabelled("B", 3, (3, 2, 1)), id="B3-321"),
+        pytest.param(relabelled("C", 3, (2, 1, 3)), id="C3-213"),
+        pytest.param(relabelled("F", 4, (2, 4, 1, 3)), id="F4-2413"),
     ])
-    def test_matches_tuple_indexed_reference(self, letter, rank):
+    def test_matches_tuple_indexed_reference(self, C):
         # Same columns and matchings, in content and in insertion order: boundaries_csv and
         # homology_of read them in that order.
-        W = generate_weyl_group(cartan_matrix(letter, rank))
+        W = generate_weyl_group(C)
         cx = build_chain_complex(W)
         columns, matchings = reference_assembly(W, cx.bases)
-        for k in range(1, rank + 1):
+        for k in range(1, W.rank + 1):
             assert [list(col.items()) for col in cx.boundary(k).columns] == [
                 list(col.items()) for col in columns[k - 1]]
         assert [list(m.items()) for m in cx.matching] == [list(m.items()) for m in matchings]
@@ -343,11 +370,14 @@ class TestChainComplex:
             assert len({id(r) for r in keys}) == len(set(keys))
 
     @pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G", 2)])
-    def test_blue_letters_fault_fails_square_zero(self, letter, rank, monkeypatch):
+    def test_blue_letters_fault_fails_square_zero(self, letter, rank):
         W = generate_weyl_group(cartan_matrix(letter, rank))
-        monkeypatch.setattr(cells, "_act", blue_letters)
+        bases = tuple(enumerate_cells(W, rank - k) for k in range(rank + 1))
+        columns, matchings = reference_assembly(W, bases, push=blue_letters)
+        boundaries = (IntMatrix(0, len(bases[0])),) + tuple(
+            IntMatrix.from_columns(len(bases[k - 1]), cols) for k, cols in enumerate(columns, 1))
         with pytest.raises(CorruptComplexError, match="boundary composition"):
-            build_chain_complex(W)
+            ChainComplex(bases, boundaries, tuple(matchings))
 
     def test_euler_characteristic_a2(self, W_A2):
         assert build_chain_complex(W_A2).euler_characteristic() == -2

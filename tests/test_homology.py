@@ -11,6 +11,7 @@ from todatopo import (
     IntMatrix,
     build_chain_complex,
     cartan_matrix,
+    conjectured_betti,
     generate_weyl_group,
     homology_of,
     invariant_factors,
@@ -460,6 +461,17 @@ class TestReduction:
         groups = homology_of(cx)
         assert [g.free_rank for g in groups] == [1, 35, 395, 361, 0, 0]
         assert [len(g.torsion) for g in groups] == [0, 202, 1085, 236, 1, 0]
+        assert all(d == 2 for g in groups for d in g.torsion)
+
+    @pytest.mark.slow
+    def test_a6_groups(self):
+        # the A6 rung; the free ranks above degree 0 are also the conjectured Betti numbers
+        cx = build_chain_complex(generate_weyl_group(cartan_matrix("A", 6)))
+        groups = homology_of(cx)
+        free = [g.free_rank for g in groups]
+        assert free == [1, 21, 175, 427, 0, 0, 0]
+        assert free[1:] == [conjectured_betti(6, k) for k in range(1, 7)]
+        assert [len(g.torsion) for g in groups] == [0, 99, 917, 1072, 119, 1, 0]
         assert all(d == 2 for g in groups for d in g.torsion)
 
     @pytest.mark.slow

@@ -69,3 +69,11 @@ def test_streamed_cells_artifacts_match_the_dict_reference(type_label, rank, fre
     assert json.loads(json_text)["cells"] == report.cell_rows(cx)
     assert "".join(report.cells_csv(cx)) == _reference_cells_csv(cx)
     assert "".join(report.boundaries_csv(cx)) == _reference_boundaries_csv(cx)
+
+
+def test_boundaries_csv_writes_non_unit_values():
+    # a cellular boundary holds only +-1; any other value is written in the general form
+    d1 = IntMatrix(2, 3, {(0, 0): 2, (1, 0): -1, (0, 1): -3, (1, 2): 1})
+    cx = ChainComplex(((0, 1), (0, 1, 2)), (IntMatrix(0, 2), d1))
+    assert "".join(report.boundaries_csv(cx)) == _reference_boundaries_csv(cx) == (
+        "degree,row,col,value\n1,0,0,2\n1,0,1,-3\n1,1,0,-1\n1,1,2,1\n")
