@@ -15,7 +15,9 @@ per letter s_i, an orientation factor
 ``eta(i) ** (sum of C_{j,i} over uncolored j, mod 2)``, the determinant of
 the wall-gluing map on the cell's free coordinates.  ``ws_act_oriented``
 calls ``_act``; assembly applies the same step inline, letter by letter
-along the coset walk that finds the face's rep.
+along the coset walk that finds the face's rep.  Every face takes that
+one walk: when the new vertex is not a right descent of w, the walk has
+no letters and the face keeps w and its literal sign.
 With it the boundary squares to zero and the rank-2 A-type complex
 reproduces the gold homology (Z, Z^3 + Z/2, 0).
 
@@ -333,44 +335,29 @@ class ChainComplex:
                         raise CorruptComplexError(f"boundary composition at degree {k} is nonzero")
 
 
-def _faces(D: ColoredDynkinDiagram, tables, flips, inside) -> list:
-    """Faces of D, one entry per j: the literal signs of its Red and Blue faces, the new
-    vertex's bit, the faces' colored mask S, D's Red mask, S's row tables, the rows of
-    the Red and Blue faces of the cells whose rep they keep, and S's orientation-flip
-    mask and per-letter recolors (``build_chain_complex``)."""
-    out = []
-    for j, v in enumerate(D.uncolored, 1):
-        bit = 1 << (v - 1)
-        S, red = D.mask | bit, D.red
-        by_red, rank = tables[S]
-        sgn_red = diagram_boundary(D, j, 1)[0]
-        sgn_blue = diagram_boundary(D, j, 2)[0]
-        out.append((sgn_red, sgn_blue, bit, S, red, by_red, rank, by_red[red | bit], by_red[red],
-                    flips[S], inside[S]))
-    return out
-
-
 def build_chain_complex(W: WeylGroup) -> ChainComplex:
     """Cellular chain complex of the compactified manifold for W's type.
 
     Boundary of a cell (D, [w]): for each (j, c) the colored diagram gains
     a vertex with the literal sign, the coset is re-minimized in the larger
     parabolic, and the residual rep^-1 * w, spelled by the walk that finds
-    rep, is pushed onto the diagram with its orientation sign.  The Red and
-    Blue faces of one j share the walk.  A face's row is arithmetic on the
-    basis order (``_row_tables``, built for one degree at a time), with no
-    index of the cells.  A cell whose least vertex of A (module docstring)
-    is uncolored is matched with its Blue face on that vertex, whose row
-    the same pass finds, and filed under the key (-l(w), min A) that the
-    pair shares; each degree joins its pairs in key order when done.
-
-    The push runs inline along the walk: each step w -> w * s_(i+1) by a
-    right descent i in S applies ``signs._act``'s rule for letter i to the
-    Red masks of both faces at once.  The rule needs two things that depend
-    on S alone, tabled once per call: whether letter i flips the orientation
-    (an odd count of odd C_{j,i} outside S) and its recolor ``odd[i] & S``.
+    rep, is pushed onto the diagram with its orientation sign.  Every face
+    goes through one loop.  The Red and Blue faces of one j share the walk,
+    which steps w -> w * s_(i+1) by each right descent i in S and applies
+    ``signs._act``'s rule for letter i to both faces' Red masks at once; it
+    takes no step exactly when the new vertex is not a descent of w (w has
+    none in D's mask).  The rule needs two things that depend on S alone,
+    tabled once per call: whether letter i flips the orientation (an odd
+    count of odd C_{j,i} outside S) and its recolor ``odd[i] & S``.
     ``test_matches_tuple_indexed_reference`` holds this loop equal to a
     reference assembly that calls ``signs._act``.
+
+    A face's row is arithmetic on the basis order (``_row_tables``, built
+    for one degree at a time), with no index of the cells.  A cell whose
+    least vertex of A (module docstring) is uncolored is matched with its
+    Blue face on that vertex, whose walk has no letters, and filed under
+    the key (-l(w), min A) that the pair shares; each degree joins its
+    pairs in key order when done.
 
     Each face is one entry, +-1, in a row of its own: faces with different
     j color different vertices, and the Red and Blue faces of one j share
@@ -397,38 +384,35 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
         for i, cell in enumerate(bases[k]):
             if cell.diagram is not D:  # a diagram's cells come one after another
                 D = cell.diagram
-                fs = _faces(D, tables, flips, inside)
-                blue, uncolored = D.mask ^ D.red, full ^ D.mask
+                red, blue, uncolored = D.red, D.mask ^ D.red, full ^ D.mask
+                # per face j: the Red face's literal sign (the Blue face's is its negation),
+                # the new vertex's bit, the colored mask S, S's row tables, flips and recolors
+                fs = [(diagram_boundary(D, j, 1)[0], S ^ D.mask, S, tables[S], flips[S], inside[S])
+                      for j, S in enumerate((D.mask | 1 << (v - 1) for v in D.uncolored), 1)]
             w = cell.rep.position
-            dw = descents[w]
-            free = uncolored & ~dw
+            free = uncolored & ~descents[w]
             A = blue | free
             down = A & -A & free  # the least vertex of A if it is uncolored, else 0
             column: dict[int, int] = {}
-            for sgn_red, sgn_blue, bit, S, red, by_red, rank, red_rows, blue_rows, flip, recolor in fs:
-                if dw & bit:  # the new vertex is a descent of w (w has none in D's mask)
-                    x, red_face, blue_face = w, red | bit, red
-                    while d := descents[x] & S:
-                        letter = lowest[d]
-                        x = right[x][letter]
-                        if red_face >> letter & 1:
-                            if flip >> letter & 1:
-                                sgn_red = -sgn_red
-                            red_face ^= recolor[letter]
-                        if blue_face >> letter & 1:
-                            if flip >> letter & 1:
-                                sgn_blue = -sgn_blue
-                            blue_face ^= recolor[letter]
-                    r = rank[x]
-                    column[by_red[red_face][r]] = sgn_red
-                    column[by_red[blue_face][r]] = sgn_blue
-                else:  # both faces keep w, with no residual letters
-                    r = rank[w]
-                    column[red_rows[r]] = sgn_red
-                    r = blue_rows[r]
-                    column[r] = sgn_blue
-                    if bit == down:  # key (-l(w), min A), shared by the pair
-                        buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
+            for sgn_red, bit, S, (by_red, rank), flip, recolor in fs:
+                x, red_face, blue_face, sgn_blue = w, red | bit, red, -sgn_red
+                while d := descents[x] & S:  # no step when the new vertex is not in Desc(w)
+                    letter = lowest[d]
+                    x = right[x][letter]
+                    if red_face >> letter & 1:
+                        if flip >> letter & 1:
+                            sgn_red = -sgn_red
+                        red_face ^= recolor[letter]
+                    if blue_face >> letter & 1:
+                        if flip >> letter & 1:
+                            sgn_blue = -sgn_blue
+                        blue_face ^= recolor[letter]
+                r = rank[x]
+                column[by_red[red_face][r]] = sgn_red
+                r = by_red[blue_face][r]
+                column[r] = sgn_blue
+                if bit == down:  # key (-l(w), min A), shared by the pair
+                    buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
             columns.append(column)
         boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
         del tables, fs  # freed before the join and the next degree's tables

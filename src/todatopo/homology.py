@@ -256,7 +256,7 @@ def homology_of(cx: ChainComplex) -> list[HomologyGroup]:
     """
     top = cx.top_degree
     matching = cx.matching or ({},) * top
-    if len(matching) != top:
+    if len(matching) != max(top, 0):  # a complex with no degrees has top -1
         raise CorruptComplexError("matching needs one dict per degree below the top")
     crit = []
     down = ()  # cells of C_k paired downward: the partners of matching[k - 1]

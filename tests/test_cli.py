@@ -44,6 +44,11 @@ class TestCells:
         assert code == 1
         assert "unknown type" in err
 
+    def test_count_formula_mismatch_errors(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cell_count_formula", lambda W, codim: -1)
+        code, out, err = run(capsys, "cells", "--type", "A", "--rank", "2", "--output", "-")
+        assert (code, out, err) == (1, "", "error: cell counts disagree with the closed formula\n")
+
     def test_csv_artifact(self, capsys, tmp_path):
         path = tmp_path / "cells.csv"
         bpath = tmp_path / "bnd.csv"
@@ -188,6 +193,18 @@ class TestHomology:
         code, out, _ = run(capsys, "homology", "--type", "A", "--rank", "1")
         assert code == 0
         assert out.count("= Z") == 2
+
+    def test_euler_mismatch_errors(self, capsys, monkeypatch):
+        groups = cli.homology_of
+
+        def shifted(cx):
+            first, *rest = groups(cx)
+            return [type(first)(first.free_rank + 1, first.torsion), *rest]
+
+        monkeypatch.setattr(cli, "homology_of", shifted)
+        code, out, err = run(capsys, "homology", "--type", "A", "--rank", "2", "--output", "-")
+        assert (code, out, err) == (
+            1, "", "error: Euler characteristic mismatch between cells and homology\n")
 
     def test_a3_json(self, capsys):
         code, out, _ = run(capsys, "homology", "--type", "A", "--rank", "3",

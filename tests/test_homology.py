@@ -181,6 +181,9 @@ class TestHomology:
         groups = homology_of(cx)
         assert [g.free_rank for g in groups] == [2, 3]
 
+    def test_complex_with_no_degrees(self):
+        assert homology_of(ChainComplex((), ())) == []
+
     def test_corrupt_complex_rejected(self):
         # d1 * d2 != 0: the complex refuses to exist, so no homology is computed
         bases = ((1, 2), (3, 4))

@@ -177,6 +177,14 @@ class TestIncidence:
         with pytest.raises(IncidenceError):
             incidence(W_A2.simple_reflection(1), W_A2.identity)  # index increases
 
+    def test_two_shared_directions_rejected(self, W_A3):
+        with pytest.raises(IncidenceError, match="single shared direction"):
+            incidence(W_A3.from_word([1]), W_A3.from_word([2, 3, 2]))
+
+    def test_non_transversal_connection_rejected(self, W_A3):
+        with pytest.raises(IncidenceError, match="not transversal"):
+            incidence(W_A3.from_word([1]), W_A3.from_word([2, 1, 3]))
+
 
 class TestMorseComplex:
     def test_a1(self, W_A1):
@@ -309,6 +317,10 @@ class TestBettiFormulas:
     def test_poincare_small(self):
         assert poincare_polynomial(2) == (4, 1)  # q + 4
         assert poincare_polynomial(3) == (11, 6, 1)  # q^2 + 6q + 11
+
+    def test_rank_above_the_cap_rejected(self):
+        with pytest.raises(ConfigError, match=f"capped at rank {MAX_PRINCIPAL_RANK}"):
+            poincare_polynomial(MAX_PRINCIPAL_RANK + 1)
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_constant_term(self, l):

@@ -71,6 +71,10 @@ def test_streamed_cells_artifacts_match_the_dict_reference(type_label, rank, fre
     assert "".join(report.boundaries_csv(cx)) == _reference_boundaries_csv(cx)
 
 
+def test_poly_str_skips_zero_coefficients():
+    assert report.poly_str((1, 0, 2)) == "2q^2 + 1"
+
+
 def test_boundaries_csv_writes_non_unit_values():
     # a cellular boundary holds only +-1; any other value is written in the general form
     d1 = IntMatrix(2, 3, {(0, 0): 2, (1, 0): -1, (0, 1): -3, (1, 2): 1})

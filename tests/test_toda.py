@@ -161,6 +161,11 @@ class TestBlowup:
         t6, t9 = b6.time, b9.time
         assert abs(t6 - t9) / t9 < 0.01
 
+    def test_start_past_the_threshold_blows_up_at_the_start(self):
+        traj = integrate(TodaState((0.0, 0.0), (1e7, 1.0), 0.5), 1.0, 1e-3, threshold=1e6)
+        assert traj.times == [0.5]
+        assert (traj.blowup.time, traj.blowup.coordinate) == (0.5, "b1")
+
     def test_sign_invariance_until_blowup(self):
         s = TodaState((0.1, -0.2), (-1.0, 1.0))
         traj = integrate(s, 5.0, 1e-3)
@@ -210,6 +215,12 @@ class TestTrajectory:
         assert len(traj.times) == 11
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("t_max", [1e-13, 1e-12])
+    def test_run_shorter_than_the_end_slack_takes_its_step(self, t_max):
+        traj = integrate(TodaState((0.0,), (1.0,)), t_max, 1e-3)
+        assert traj.times == [0.0, t_max]
+        assert traj.blowup is None
 
     def test_isospectral_n3_n4(self):
         for n in (3, 4):
