@@ -13,27 +13,26 @@ when the b's grow too fast, plus bisection refinement of the first
 threshold crossing when the trajectory escapes.  One rule stops the
 halving: a step is halved while its b's more than double and it still
 advances t, and a halved step that no longer advances t ends the run.
-The steps run on tuples of Python floats, through one straight-line
-function per rank that is generated as source and compiled on first use:
-on 1-16 coordinates the calls and temporaries of a loop cost more than
-the arithmetic.  Each coordinate keeps the operation order of the numpy
+The steps run on Python floats, through one straight-line function per
+rank that is generated as source and compiled on first use: on 1-16
+coordinates the calls and temporaries of a loop cost more than the
+arithmetic.  Each coordinate keeps the operation order of the numpy
 vector expressions, so every step gives the same floats as they do.  The
 Chevalley invariants of the recorded states are computed after the loop,
 on stacks of Lax matrices a block of rows at a time.  Everything is
 deterministic; there is no randomness anywhere.
 
-Most steps need neither halving nor bisection, and `integrate` accepts
-them after one test: the sum of the new coordinates is finite, the
-largest new |b| is at most twice the scale (the largest |b| before the
-step, floored at 1, carried over from the step that made it) and no
-new coordinate exceeds the threshold.  A float sum is finite only if
-every term is, so the one sum replaces a finiteness scan of each
-coordinate (the largest-|x| scans cannot: max passes over a NaN that is
-not first), and a step that passes is one that the halving test and the
-threshold test both accept as it is.  Every other step, finite
-coordinates whose sum overflows included, goes on from the same step to
-those exact tests, the halving and the bisection, so the recorded floats
-are those of the exact tests alone.
+Most steps need neither halving nor bisection; the compiled function runs
+them as a loop, with a and b in locals.  It accepts a step after one
+chained comparison per new coordinate: each b within twice the scale (the
+largest |b| before the step, floored at 1) and the threshold, each a
+within the threshold, both bounds capped at the largest float so that NaN
+and +-inf fail.  Such a step is one the exact tests accept as it is.  The
+first step that fails is returned, and `integrate` takes it, from the
+trajectory's last row, through the exact halving, threshold and bisection
+code before it calls the loop again, so the recorded floats are those of
+the exact tests.  `step`, the halving and the bisection make single steps
+with the same function: the RK4 arithmetic has one source.
 
 numpy is imported inside the functions that use it, so it loads on the
 first call to one of them: importing this module, and with it the
@@ -45,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -102,20 +102,29 @@ def assemble_matrix(state: TodaState) -> np.ndarray:
     return _lax_stack([state.a], [state.b])[0]
 
 
-# The step is straight-line source generated for each rank and compiled on
+# The loop is straight-line source generated for each rank and compiled on
 # first use.  On vectors of 1-16 floats the calls, comprehensions and tuples of
-# a loop over the coordinates cost several times the arithmetic itself; the
-# generated function unpacks a and b into locals, makes one assignment per
-# coordinate per stage and builds only the two tuples it returns.  Each
-# coordinate takes the operations of the vector expressions
+# a loop over the coordinates, or a call per step, cost as much as the
+# arithmetic; the generated function makes one assignment per coordinate per
+# stage and builds only the tuples it records.
+# Each coordinate takes the operations of the vector expressions
 # b * ((a_prev - 2.0 * a) + a_next), with a literal 0.0 for the missing
 # neighbours at both ends, x + half * k with half = 0.5 * h (x + h * k for the
 # last stage) and x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4) with
 # sixth = h / 6.0, in that order, so the floats are those of the numpy form.
-# The a-slopes are b itself and then the stage inputs of b.
+# The a-slopes are b itself and then the stage inputs of b; the new a's, which
+# read b1, are written before the new b's.
 @functools.cache
 def _rk4_kernel(n: int):
-    """RK4 step of the rank-n flow, (a, b, h) -> (a, b), compiled from generated source.
+    """The common-step loop of the rank-n flow, compiled from generated source.
+
+    rk4(a, b, t, t_end, stop, dt, scale, cap, rows) steps by
+    h = min(dt, t_end - t) while t < stop, and accepts a step whose new b's lie
+    in [-c, c], c = min(2 * scale, cap), and new a's in [-cap, cap].  The scale
+    is the argument for the first step, then max(|b_i|..., 1.0) of the step
+    before.  rows holds the appends for t, a and b of each accepted step.  It
+    returns None at stop, else (h, a, b) of the first step it does not accept;
+    with scale < 0 that is the first step (see `_one_step`).
 
     Stage s reads the inputs a{s}_i, b{s}_i and writes the b-slopes k{s}_i.
     """
@@ -124,28 +133,68 @@ def _rk4_kernel(n: int):
     def neighbour(s, i):
         return f"a{s}_{i}" if 0 <= i < n else "0.0"
 
+    a_row = "".join(f"a1_{i}, " for i in r)
+    b_row = "".join(f"b1_{i}, " for i in r)
     lines = [
-        "def rk4(a, b, h):",
-        "    " + "".join(f"a1_{i}, " for i in r) + "= a",
-        "    " + "".join(f"b1_{i}, " for i in r) + "= b",
-        "    half = 0.5 * h",
+        "def rk4(a, b, t, t_end, stop, dt, scale, cap, rows):",
+        f"    {a_row}= a",
+        f"    {b_row}= b",
+        "    push_t, push_a, push_b = rows",
+        "    ncap = -cap",
+        "    while t < stop:",
+        "        c = 2.0 * scale",
+        "        if not c <= cap:",
+        "            c = cap",
+        "        nc = -c",
+        "        h = t_end - t",
+        "        if h > dt:",
+        "            h = dt",
+        "        half = 0.5 * h",
     ]
     for s in range(1, 5):
         lines += [
-            f"    k{s}_{i} = b{s}_{i} * (({neighbour(s, i - 1)} - 2.0 * a{s}_{i}) + {neighbour(s, i + 1)})"
+            f"        k{s}_{i} = b{s}_{i} * (({neighbour(s, i - 1)} - 2.0 * a{s}_{i}) + {neighbour(s, i + 1)})"
             for i in r
         ]
         if s < 4:
             c = "h" if s == 3 else "half"
-            lines += [f"    a{s + 1}_{i} = a1_{i} + {c} * b{s}_{i}" for i in r]
-            lines += [f"    b{s + 1}_{i} = b1_{i} + {c} * k{s}_{i}" for i in r]
-    lines.append("    sixth = h / 6.0")
-    na = "".join(f"a1_{i} + sixth * (((b1_{i} + 2.0 * b2_{i}) + 2.0 * b3_{i}) + b4_{i}), " for i in r)
-    nb = "".join(f"b1_{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i}), " for i in r)
-    lines.append(f"    return ({na}), ({nb})")
+            lines += [f"        a{s + 1}_{i} = a1_{i} + {c} * b{s}_{i}" for i in r]
+            lines += [f"        b{s + 1}_{i} = b1_{i} + {c} * k{s}_{i}" for i in r]
+    lines.append("        sixth = h / 6.0")
+    lines += [f"        a1_{i} = a1_{i} + sixth * (((b1_{i} + 2.0 * b2_{i}) + 2.0 * b3_{i}) + b4_{i})" for i in r]
+    lines += [f"        b1_{i} = b1_{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})" for i in r]
+    tests = [f"nc <= b1_{i} <= c" for i in r] + [f"ncap <= a1_{i} <= cap" for i in r]
+    lines += [
+        f"        na = {a_row}",
+        f"        nb = {b_row}",
+        f"        if not ({' and '.join(tests)}):",
+        "            return h, na, nb",
+        "        t += h",
+        "        push_t(t)",
+        "        push_a(na)",
+        "        push_b(nb)",
+        "        scale = max(" + "".join(f"abs(b1_{i}), " for i in r) + "1.0)",
+    ]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", f"<todatopo.toda rk4 rank {n}>", "exec"), namespace)
-    return namespace["rk4"]
+    rk4 = namespace["rk4"]
+    # CPython 3.11 specializes a function's bytecode for float arithmetic from
+    # its eighth call on, and a run of the loop is one call, which would leave
+    # the first seven runs of each rank on generic bytecode: make those calls
+    # here, one step each (a few microseconds on any version).
+    zeros = (0.0,) * n
+    for _ in range(8):
+        _one_step(rk4, zeros, zeros, 1.0)
+    return rk4
+
+
+_NO_ROWS = (None, None, None)  # never called: with scale < 0 the loop records nothing
+
+
+def _one_step(rk4, a: tuple, b: tuple, h: float):
+    """One RK4 step of h through the compiled loop, as (a, b): the scale -1.0 fails every step."""
+    _, na, nb = rk4(a, b, 0.0, math.inf, math.inf, h, -1.0, math.inf, _NO_ROWS)
+    return na, nb
 
 
 def _floats(xs) -> tuple:
@@ -162,7 +211,7 @@ def step(state: TodaState, dt: float) -> TodaState:
         raise ConfigError(f"dt = {dt} is below the resolution of the start time t = {state.t}: "
                           "the step would not advance t")
     a = _floats(state.a)
-    na, nb = _rk4_kernel(len(a))(a, _floats(state.b), dt)
+    na, nb = _one_step(_rk4_kernel(len(a)), a, _floats(state.b), dt)
     return TodaState(na, nb, state.t + dt)
 
 
@@ -293,40 +342,33 @@ def integrate(
     traj = Trajectory([t], [a], [b], [])
     if _exceeds(a, b, threshold):
         traj.blowup = BlowupEvent(t, _worst_coordinate(a, b), threshold)
+    cap = min(threshold, sys.float_info.max)
+    stop = t_end - min(1e-12, 0.5 * t_max)  # a run shorter than 1e-12 still takes its step
+    rows = (traj.times.append, traj.a.append, traj.b.append)
     scale = max(max(map(abs, b)), _HALVING_FLOOR)
-    slack = min(1e-12, 0.5 * t_max)  # a run shorter than 1e-12 still takes its step
-    while traj.blowup is None and t < t_end - slack:
-        h = min(dt, t_end - t)
-        na, nb = rk4(a, b, h)
-        m = max(map(abs, nb))
-        if not (
-            math.isfinite(sum(na) + sum(nb))
-            and m <= 2.0 * scale
-            and m <= threshold
-            and max(map(abs, na)) <= threshold
-        ):
-            while (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale) and t + h > t:
-                h *= 0.5
-                na, nb = rk4(a, b, h)
-            if _exceeds(na, nb, threshold):
-                lo, hi = 0.0, h
-                while hi - lo > BLOWUP_TIME_RESOLUTION:
-                    mid = 0.5 * (lo + hi)
-                    ma, mb = rk4(a, b, mid)
-                    if _exceeds(ma, mb, threshold):
-                        hi = mid
-                    else:
-                        lo = mid
-                ba, bb = rk4(a, b, hi)
-                traj.blowup = BlowupEvent(t + hi, _worst_coordinate(ba, bb), threshold)
-                break
-            if t + h == t:  # halved below the spacing of the times: a row would repeat t
-                traj.blowup = BlowupEvent(t, _worst_coordinate(na, nb), threshold)
-                break
-            m = max(map(abs, nb))
+    while traj.blowup is None and (rejected := rk4(a, b, t, t_end, stop, dt, scale, cap, rows)) is not None:
+        h, na, nb = rejected
+        t, a, b = traj.times[-1], traj.a[-1], traj.b[-1]
+        scale = max(max(map(abs, b)), _HALVING_FLOOR)
+        while (not all(map(math.isfinite, nb)) or max(map(abs, nb)) > 2.0 * scale) and t + h > t:
+            h *= 0.5
+            na, nb = _one_step(rk4, a, b, h)
+        if _exceeds(na, nb, threshold):
+            lo, hi = 0.0, h
+            while hi - lo > BLOWUP_TIME_RESOLUTION:
+                mid = 0.5 * (lo + hi)
+                if _exceeds(*_one_step(rk4, a, b, mid), threshold):
+                    hi = mid
+                else:
+                    lo = mid
+            traj.blowup = BlowupEvent(t + hi, _worst_coordinate(*_one_step(rk4, a, b, hi)), threshold)
+            break
+        if t + h == t:  # halved below the spacing of the times: a row would repeat t
+            traj.blowup = BlowupEvent(t, _worst_coordinate(na, nb), threshold)
+            break
         t += h
         a, b = na, nb
-        scale = max(m, _HALVING_FLOOR)
+        scale = max(max(map(abs, b)), _HALVING_FLOOR)
         traj.times.append(t)
         traj.a.append(a)
         traj.b.append(b)

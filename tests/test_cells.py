@@ -22,7 +22,7 @@ from todatopo.cells import _row_tables, cell_count_formula
 from todatopo.errors import ConfigError
 from todatopo.signs import _act, _odd_columns
 
-from test_homology import LIE_TYPES
+from test_homology import LIE_TYPES, relabelled
 
 
 def colors(D):
@@ -92,12 +92,6 @@ def block_sum(*types):
         rows += [[0] * at + list(row) + [0] * (n - at - len(block)) for row in block]
         at += len(block)
     return CartanMatrix.from_entries(rows)
-
-
-def relabelled(letter, rank, order):
-    """The (letter, rank) Cartan matrix whose vertex a is the standard vertex order[a - 1]."""
-    C = cartan_matrix(letter, rank).entries
-    return CartanMatrix.from_entries([[C[i - 1][j - 1] for j in order] for i in order])
 
 
 # Boundary matrices of the rank-2 A-type complex, derived by hand and

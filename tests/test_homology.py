@@ -1,5 +1,6 @@
+import functools
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,6 +342,34 @@ def _unimodular_pair(n, ops):
 
 LIE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
              ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+
+
+def relabelled(letter, rank, order):
+    """The (letter, rank) Cartan matrix whose vertex a is the standard vertex order[a - 1]."""
+    C = cartan_matrix(letter, rank).entries
+    return CartanMatrix.from_entries([[C[i - 1][j - 1] for j in order] for i in order])
+
+
+@functools.cache
+def standard_groups(letter, rank):
+    return homology_of(build_chain_complex(generate_weyl_group(cartan_matrix(letter, rank))))
+
+
+# Every vertex order at rank 2 and 3, and a fixed sample of the 24 at rank 4.
+RELABELLINGS = [(letter, rank, order) for letter, rank in (("A", 3), ("B", 3), ("C", 3), ("G", 2))
+                for order in permutations(range(1, rank + 1))] + [
+    (letter, 4, order) for letter in "ADBF"
+    for order in ((4, 3, 2, 1), (2, 1, 4, 3), (3, 1, 4, 2), (2, 4, 1, 3), (1, 3, 4, 2))]
+
+
+class TestRelabelling:
+    @pytest.mark.parametrize("letter,rank,order", RELABELLINGS,
+                             ids=[f"{l}{r}-{''.join(map(str, o))}" for l, r, o in RELABELLINGS])
+    def test_homology_does_not_see_the_vertex_order(self, letter, rank, order):
+        # The boundary signs count uncolored vertices in vertex order, so a
+        # relabelled diagram has other boundary matrices; the groups must agree.
+        C = relabelled(letter, rank, order)
+        assert homology_of(build_chain_complex(generate_weyl_group(C))) == standard_groups(letter, rank)
 
 
 class TestReduction:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -368,8 +369,8 @@ class TestAgainstNumpyReference:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_sum_of_finite_coordinates(self):
-        # Every row is finite but its a's sum past the largest float, so each
-        # step fails the common-step test and is accepted by the exact one.
+        # Every row is finite but its a's sum past the largest float; each
+        # coordinate is within its bound, so the common-step test accepts it.
         # Where b is nonzero the a's are linear between neighbours, so b * lap
         # is 0 and no step blows up; the invariants of these rows overflow.
         x = 3e307
@@ -385,8 +386,8 @@ class TestAgainstNumpyReference:
     def test_nan_past_the_first_coordinate(self):
         # The a's are linear up to a3, whose -2 * a3 overflows; with b3 = 0 the
         # step's b3 is 0 * inf = NaN, which reaches a2, b2 and a3 but not a1, b1.
-        # max(map(abs, ...)) passes over a NaN that is not first, so only the
-        # finiteness sum sends this step to the exact tests.
+        # max(map(abs, ...)) passes over a NaN that is not first; the
+        # comparison on each coordinate sends this step to the exact tests.
         x = 1.5 * 2.0 ** 1021
         traj, _ = self.check((x, 2 * x, 3 * x), (1.0, 1.0, 0.0), 1.0, 1e-3, math.inf)
         assert len(traj.times) == 1 and traj.blowup is not None
@@ -438,10 +439,104 @@ class TestAgainstNumpyReference:
         assert _bits(out.a) == _bits(na)
         assert _bits(out.b) == _bits(nb)
 
-    def test_kernel_compiled_once_per_rank(self):
+    @pytest.mark.parametrize("a,b,t_max,halvings,rows", [
+        ((0.0,), (-1.0,), 1.5, 1, 32),
+        ((0.0, 0.0, 0.0), (-1.0, 1.0, -1.0), 1.4, 8, 34),
+    ], ids=["rank-1", "rank-3"])
+    def test_common_steps_resume_after_halving(self, a, b, t_max, halvings, rows):
+        # The compiled loop hands a step that more than doubles the b's to the
+        # exact halving, then takes the run back and ends it at t_max.
+        traj, halved = self.check(a, b, t_max, 0.05)
+        assert traj.blowup is None and halved == halvings and len(traj.times) == rows
+        first_short = next(i for i, (s, t) in enumerate(zip(traj.times, traj.times[1:])) if t - s < 0.04)
+        assert first_short < rows - 2 and traj.times[-1] == pytest.approx(t_max)
+
+    def test_kernel_compiled_once_per_rank(self, monkeypatch):
         kernel = toda._rk4_kernel(5)
         assert toda._rk4_kernel(5) is kernel
         assert kernel.__code__.co_filename == "<todatopo.toda rk4 rank 5>"
+        # step(), the common-step loop, the halving and the bisection all run this one function.
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1] is toda._NO_ROWS)
+            return kernel(*args)
+
+        monkeypatch.setattr(toda, "_rk4_kernel", lambda n: spy)
+        state = TodaState((0.0,) * 5, (1.0, -1.0, 1.0, -1.0, 1.0))
+        step(state, 1e-3)
+        assert calls == [True]
+        assert integrate(state, 5.0, 1e-3).blowup is not None
+        assert calls[1] is False and calls.count(False) > 1 and calls.count(True) > 20
+
+
+def _kernel_run(a, b, scale, cap, h=0.01, steps=1):
+    """The compiled loop from t = 0 for steps steps of h: (what it returns, rows it recorded)."""
+    times, arows, brows = [], [], []
+    out = toda._rk4_kernel(len(a))(a, b, 0.0, steps * h, (steps - 0.5) * h, h, scale, cap,
+                                   (times.append, arows.append, brows.append))
+    return out, list(zip(times, arows, brows))
+
+
+class TestCommonStepTest:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", [f"{x}{i}" for x in "ab" for i in (1, 2, 3)])
+    def test_non_finite_rejected_at_infinite_threshold(self, coordinate, value):
+        # integrate passes the cap min(threshold, largest float): at an infinite
+        # threshold that is the largest float, and a non-finite step still fails.
+        a, b = [0.1, -0.2, 0.3], [0.5, -0.25, 0.75]
+        (a if coordinate[0] == "a" else b)[int(coordinate[1]) - 1] = value
+        out, recorded = _kernel_run(tuple(a), tuple(b), 1.0, sys.float_info.max)
+        assert recorded == []
+        h, na, nb = out
+        assert h == 0.01 and not all(map(math.isfinite, na + nb))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the invariants of the start
+    def test_scale_whose_double_overflows(self):
+        # Near the largest float 2 * scale is inf, and so is this step's a and b;
+        # the cap keeps both bounds finite, so the step fails and the run stops at its start.
+        a, b = (-0.25,), (1e308,)
+        out, recorded = _kernel_run(a, b, 1e308, sys.float_info.max, h=1e-310)
+        assert recorded == [] and out == (1e-310, (math.inf,), (math.inf,))
+        traj = integrate(TodaState(a, b), 1e-300, 1e-310, math.inf)
+        assert traj.times == [0.0] and traj.blowup is not None
+
+    def test_finite_step_accepted_at_infinite_threshold(self):
+        out, recorded = _kernel_run((0.1, -0.2, 0.3), (0.5, -0.25, 0.75), 1.0, sys.float_info.max)
+        assert out is None and len(recorded) == 1
+
+    def test_b_bound_is_twice_the_scale(self):
+        a, b = (0.1, -0.2), (1.5, -0.5)
+        na, nb = toda._one_step(toda._rk4_kernel(2), a, b, 0.01)
+        m = max(map(abs, nb))
+        out, recorded = _kernel_run(a, b, 0.5 * m, math.inf)
+        assert out is None and recorded == [(0.01, na, nb)]
+        out, recorded = _kernel_run(a, b, math.nextafter(0.5 * m, 0.0), math.inf)
+        assert out == (0.01, na, nb) and recorded == []
+
+    def test_scale_is_floored_at_one(self):
+        # b grows about 2.7-fold per step, but stays far below 1: no step needs halving.
+        out, recorded = _kernel_run((-5.0,), (0.01,), 1.0, math.inf, h=0.1, steps=3)
+        assert out is None and len(recorded) == 3
+        assert recorded[-1][2][0] > 2 * recorded[-2][2][0]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the eighth-call rule is CPython 3.11's")
+    def test_loop_is_specialized_before_its_first_run(self):
+        # A run is one call of the loop, and CPython 3.11 specializes a function's
+        # bytecode only from its eighth call: building the function makes those calls.
+        import dis
+
+        kernel = toda._rk4_kernel.__wrapped__(6)
+        assert "BINARY_OP_MULTIPLY_FLOAT" in {i.opname for i in dis.get_instructions(kernel, adaptive=True)}
+
+    def test_bound_is_the_cap(self):
+        a, b = (0.1, -0.2), (1.5, -0.5)
+        na, nb = toda._one_step(toda._rk4_kernel(2), a, b, 0.01)
+        m = max(map(abs, nb))
+        out, _ = _kernel_run(a, b, 1.0, m)
+        assert out is None
+        out, _ = _kernel_run(a, b, 1.0, math.nextafter(m, 0.0))
+        assert out == (0.01, na, nb)
 
 
 class TestThreshold:
