@@ -5,8 +5,8 @@ Each ``cmd_*`` computes and checks, then returns its summary lines and
 its artifacts; it writes nothing, and renders no artifact that was not
 asked for: the DOT text is made under its flag, and the other artifacts
 are generators, or a ``map`` of ``report.dump_json``, that only writing
-drains.  ``main`` is the one writer: it prints the summary to stdout,
-then writes each requested artifact in ``ARTIFACT_OPTIONS`` order.
+drains.  ``main`` is the one writer: through ``_emit`` it writes the summary
+to stdout, then each requested artifact in ``ARTIFACT_OPTIONS`` order.
 ``--output -`` replaces the summary with the ``--output`` artifact on
 stdout (the cells CSV or JSON, or the JSON of the other subcommands).
 Every artifact path is checked before any computation, two artifacts may
@@ -14,7 +14,7 @@ not share a destination, and nothing is written, on stdout or on disk,
 until every computation and check has passed.  Identical configurations
 produce byte identical output.  Exit code 0 means every requested
 computation finished and all internal consistency checks passed; an
-invalid run exits 1.
+invalid run, or a write that fails (stdout included), exits 1.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ def _emit(chunks, path: str | None) -> None:
         return
     if isinstance(chunks, str):
         chunks = (chunks,)
-    if path == "-":
-        sys.stdout.writelines(chunks)
-        return
     try:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise _unwritable(path, exc) from None
+        if path == "-":
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
+    except OSError as exc:  # also a full or closed stdout: the flush is inside
+        raise _unwritable("stdout" if path == "-" else path, exc) from None
 
 
 def _build_group(args):
@@ -405,8 +406,7 @@ def main(argv=None) -> int:
             _check_writable(getattr(args, option, None))
         lines, artifacts = args.func(args)
         if args.output != "-":
-            for line in lines:
-                print(line)
+            _emit([f"{line}\n" for line in lines], "-")
         for option in ARTIFACT_OPTIONS:
             if option in artifacts:
                 _emit(artifacts[option], getattr(args, option))

@@ -136,7 +136,7 @@ def cartan_matrix(type_label: str, rank: int) -> CartanMatrix:
     lo, hi = _RANK_RANGES[t]
     if not isinstance(rank, int) or rank < lo or rank > hi:
         raise UnsupportedTypeError(f"type {t} supports ranks {lo}..{hi}, got {rank!r}")
-    l = rank
+    l = int(rank)  # True is an int in range; the rank is stored as 1
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
 
     def bond(i, j, cij=-1, cji=-1):

@@ -3,8 +3,10 @@
 A matrix is stored by columns: one ``{row: value}`` dict per column, int
 keys, nonzero Python-int values.  A cell's boundary is one such column,
 so assembly appends columns as it builds them and the square-zero check
-and the reduction read them without regrouping.  Only the handful of
-operations the chain-complex machinery needs are provided.
+and the reduction read them without regrouping.  Two constructors (a
+``(row, col) -> value`` mapping and ready columns), the stored-entry count
+and one matrix-vector product are all the pipeline uses; dense views and
+matrix products belong to the tests' reference.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from numbers import Integral
 @dataclass(frozen=True, init=False)
 class IntMatrix:
     """Sparse int matrix by columns, built only through ``_set``, the one check: rows in
-    0..rows-1 and nonzero values, all Python ints.  The mapping and dense forms read integral
-    values with int(); ``from_columns`` keeps its dicts, so 1.5, 2.0 and numpy ints fail there."""
+    0..rows-1 and nonzero values, all Python ints.  The mapping form reads integral values
+    with int(); ``from_columns`` keeps its dicts, so 1.5, 2.0 and numpy ints fail there."""
 
     rows: int
     cols: int
@@ -54,34 +56,9 @@ class IntMatrix:
         object.__setattr__(self, "cols", len(columns))
         object.__setattr__(self, "columns", columns)
 
-    @classmethod
-    def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        columns = [{} for _ in range(cols)]
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense matrix")
-            for c, v in enumerate(row):
-                if not isinstance(v, Integral):
-                    columns[c][r] = v  # stored for _set to reject, as 1.5 and 2.0 are
-                elif v:
-                    columns[c][r] = int(v)
-        return cls.from_columns(rows, columns)
-
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col.items():
-                dense[r][c] = v
-        return dense
-
     @property
     def nnz(self):
         return sum(map(len, self.columns))
-
-    def is_zero(self):
-        return not any(self.columns)
 
     def apply(self, column: dict[int, int]) -> dict[int, int]:
         """This matrix times a sparse column vector; entries that cancel stay, as 0."""
@@ -91,13 +68,3 @@ class IntMatrix:
             for i, a in mine[k].items():
                 acc[i] = acc.get(i, 0) + a * b
         return acc
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        out = [{i: v for i, v in self.apply(col).items() if v} for col in other.columns]
-        return IntMatrix.from_columns(self.rows, out)
-
-    def triplets(self):
-        """Sorted (row, col, value) list; the sparse interchange format."""
-        return sorted((r, c, v) for c, col in enumerate(self.columns) for r, v in col.items())

@@ -139,10 +139,9 @@ def cells_json(type_label: str, rank: int, cx: ChainComplex):
 def boundaries_csv(cx: ChainComplex):
     """Sparse triplets of every boundary map, degree,row,col,value, one chunk per degree.
 
-    The triplets come in ``IntMatrix.triplets`` order, (row, col), without a
-    sort: walking the columns in order fills each row's bucket in column order.
-    A column's "col,1" and "col,-1" texts, every entry of a cellular boundary,
-    are built once per column.
+    The triplets come in (row, col) order without a sort: walking the columns
+    in order fills each row's bucket in column order.  A column's "col,1" and
+    "col,-1" texts, every entry of a cellular boundary, are built once per column.
     """
     yield "degree,row,col,value\n"
     for k in range(1, cx.top_degree + 1):

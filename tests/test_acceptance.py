@@ -27,6 +27,8 @@ from todatopo import (
     principal_graph,
 )
 
+from dense_reference import composes_to_zero
+
 _cache = {}
 
 
@@ -70,7 +72,7 @@ def test_criterion_3_square_zero_all_supported_types():
         t0 = time.perf_counter()
         cx = build_chain_complex(group(lbl, rank))
         for k in range(2, rank + 1):
-            assert cx.boundary(k - 1).matmul(cx.boundary(k)).is_zero()
+            assert composes_to_zero(cx.boundary(k - 1), cx.boundary(k))
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"{lbl}{rank} took {elapsed:.1f}s"
         times.append(f"{lbl}{rank}:{elapsed:.2f}s")
@@ -122,7 +124,7 @@ def test_criterion_7_incidence_closed_form_and_a2_morse():
     W2 = group("A", 2)
     cx = morse_complex(W2)
     for k in range(2, 3):
-        assert cx.boundary(k - 1).matmul(cx.boundary(k)).is_zero()
+        assert composes_to_zero(cx.boundary(k - 1), cx.boundary(k))
     assert homology_of(cx) == homology_of(build_chain_complex(W2))
     ok(7, "top-cell incidences match the closed form; rank-2 Morse homology equals cellular")
 

@@ -35,6 +35,11 @@ class TestPublicNames:
         )
         assert got == self.NAMES
 
+    def test_int_matrix_public_names(self):
+        # The column store the pipeline runs; dense views and products live in the tests.
+        names = sorted(n for n in dir(todatopo.IntMatrix(1, 1)) if not n.startswith("_"))
+        assert names == ["apply", "cols", "columns", "from_columns", "nnz", "rows"]
+
 
 # Each call took a non-integral value and truncated it to an int, or (the
 # letter) failed with a TypeError.
@@ -65,7 +70,6 @@ class TestPublicNames:
      todatopo.ConfigError),
     (lambda: cell_count_formula(todatopo.generate_weyl_group(todatopo.cartan_matrix("A", 3)), -1),
      todatopo.ConfigError),
-    (lambda: todatopo.IntMatrix.from_dense([[1.5, 0], [0, 2]]), ValueError),
     (lambda: todatopo.IntMatrix(2, 2, {(0, 0): 1.5}), ValueError),
     (lambda: todatopo.IntMatrix(2, 2, {(0.5, 0): 1}), ValueError),
     (lambda: todatopo.HomologyGroup(-3), ValueError),
@@ -90,7 +94,7 @@ class TestPublicNames:
 ], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
        "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
-       "cell_count_formula-negative", "from_dense", "IntMatrix-value", "IntMatrix-index",
+       "cell_count_formula-negative", "IntMatrix-value", "IntMatrix-index",
        "HomologyGroup-negative", "HomologyGroup-float", "diagram-mask", "diagram-rank",
        "diagram-red", "diagram-negative-rank", "conjectured_betti-degree", "eta-float",
        "eta-out-of-range", "from_columns-value", "from_columns-integral-float", "from_columns-row",
@@ -99,3 +103,12 @@ class TestPublicNames:
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_bool_rank_is_stored_as_an_int():
+    # True passes the range check as 1; kept as a bool it printed as "ATrue" and
+    # reached every JSON rank.  An integral float stays rejected.
+    C = todatopo.cartan_matrix("A", True)
+    assert type(C.rank) is int and str(C) == "A1"
+    with pytest.raises(todatopo.UnsupportedTypeError):
+        todatopo.cartan_matrix("A", 2.0)

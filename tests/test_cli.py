@@ -645,6 +645,45 @@ class TestUnwritablePath:
         assert json.loads(text)["groups"][1]["torsion"] == [2]
 
 
+class TestUnwritableStdout:
+    # A full device or a closed pipe on stdout, in a fresh interpreter so that the
+    # exit-time flush runs too: exit 1 and one error line, no traceback, nothing
+    # "ignored" at shutdown.
+    SRC = os.path.dirname(os.path.dirname(cli.__file__))
+    CASES = [("homology", "--rank", "2"), ("homology", "--rank", "2", "--output", "-"),
+             ("cells", "--type", "B", "--rank", "4", "--output", "-")]
+    IDS = ["summary", "output", "cells-output"]
+
+    def run_to(self, stdout, argv):
+        return subprocess.run([sys.executable, "-m", "todatopo.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": self.SRC},
+                              text=True, timeout=120)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = self.run_to(full, argv)
+        assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: No space left on device\n")
+
+    @pytest.mark.parametrize("argv", CASES, ids=IDS)
+    def test_closed_pipe(self, argv):
+        r, w = os.pipe()
+        os.close(r)  # no reader: the first write fails
+        try:
+            proc = self.run_to(w, argv)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_as_output_path(self, capsys):
+        # Opening /dev/full succeeds, so the path passes the check; the write then fails.
+        code, out, err = run(capsys, "homology", "--rank", "2", "--output", "/dev/full")
+        assert (code, err) == (1, "error: cannot write /dev/full: No space left on device\n")
+        assert out.startswith("H_0 = Z\n")
+
+
 class TestSameDestination:
     # Two artifacts on one destination would run together on stdout, or the
     # later would overwrite the earlier; either is refused before any work.

@@ -57,6 +57,9 @@ class TestCartanMatrix:
     def test_a1(self):
         assert dense(cartan_matrix("A", 1)) == [[2]]
 
+    def test_str_is_type_and_rank(self):
+        assert str(cartan_matrix("B", 3)) == "B3"
+
     def test_g2_offdiagonal(self):
         C = cartan_matrix("G", 2)
         assert {C.entry(1, 2), C.entry(2, 1)} == {-1, -3}
@@ -300,6 +303,16 @@ class TestLengthsAndWords:
     def test_identity_and_simple(self, W_A2):
         assert W_A2.identity.length == 0
         assert W_A2.simple_reflection(1).length == 1
+
+    @pytest.mark.parametrize("fix", ["W_B3", "W_G2"])
+    def test_element_inverse_is_the_groups(self, fix, request):
+        W = request.getfixturevalue(fix)
+        for w in W:
+            assert w.inverse() == W.inverse(w)
+            assert w * w.inverse() == W.identity
+
+    def test_element_repr_is_its_word(self, W_B3):
+        assert repr(W_B3.from_word((1, 2))) == "WeylElement(1-2)"
 
     def test_longest_a2(self, W_A2):
         assert W_A2.longest_element.length == 3

@@ -27,6 +27,8 @@ from todatopo import (
 from todatopo.errors import ConfigError, CorruptComplexError
 from todatopo.morse import MAX_PRINCIPAL_RANK, stable_set, unstable_set
 
+from dense_reference import composes_to_zero, triplets
+
 
 def s_word(W, i, j):
     """Consecutive product s_i s_(i+-1) ... s_j."""
@@ -190,15 +192,15 @@ class TestMorseComplex:
     def test_a1(self, W_A1):
         cx = morse_complex(W_A1)
         assert cx.ranks() == (1, 1)
-        assert cx.boundary(1).is_zero()
+        assert triplets(cx.boundary(1)) == []
         assert [g.free_rank for g in homology_of(cx)] == [1, 1]
 
     def test_a2_boundary_and_gold_homology(self, W_A2):
         cx = morse_complex(W_A2)
         assert cx.ranks() == (1, 4, 1)
-        col = [v for _, _, v in cx.boundary(2).triplets()]
+        col = [v for _, _, v in triplets(cx.boundary(2))]
         assert sorted(col) == [2, 2]
-        assert cx.boundary(1).is_zero()
+        assert triplets(cx.boundary(1)) == []
         groups = homology_of(cx)
         assert [(g.free_rank, g.torsion) for g in groups] == [(1, ()), (3, (2,)), (0, ())]
 
@@ -265,7 +267,7 @@ class TestPrincipalGraph:
     def test_square_zero(self, l):
         pg = principal_graph(l)
         for k in range(2, l + 1):
-            assert pg.boundary_matrix(k - 1).matmul(pg.boundary_matrix(k)).is_zero()
+            assert composes_to_zero(pg.boundary_matrix(k - 1), pg.boundary_matrix(k))
 
     def test_grade_one_cells_are_cycles(self):
         pg = principal_graph(4)

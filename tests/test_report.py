@@ -13,6 +13,8 @@ from todatopo import (
     report,
 )
 
+from dense_reference import triplets
+
 
 @pytest.mark.parametrize("rows", [0, 1, 3000])
 def test_dump_json_matches_json_dumps(rows):
@@ -33,7 +35,7 @@ def _reference_cells_csv(cx):
 def _reference_boundaries_csv(cx):
     lines = ["degree,row,col,value"]
     for k in range(1, cx.top_degree + 1):
-        lines.extend(f"{k},{r},{c},{v}" for r, c, v in cx.boundary(k).triplets())
+        lines.extend(f"{k},{r},{c},{v}" for r, c, v in triplets(cx.boundary(k)))
     return "\n".join(lines) + "\n"
 
 
