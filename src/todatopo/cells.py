@@ -49,10 +49,13 @@ counted by the elements with k descents.
 Cells are listed by colored set, then coloring, then rep
 (``enumerate_cells``), so a cell's place is arithmetic: offset(S) +
 t(red) * |W^S| + rank_S(w), with t(red) the Red bits of S read as a
-binary number, the least vertex most significant.  Assembly finds each face's row that
-way and keeps no index of the cells.  Every boundary entry is +-1, so
-the square-zero check compares, per column of d_k, the sorted rows of
-the +1 terms of d_(k-1) d_k with those of the -1 terms.
+binary number, the least vertex most significant.  Assembly walks each
+degree's blocks (a colored set, its colorings, its reps) in that order,
+reads no ``Cell``, and records as it goes each block's rows per coloring
+and the place of each rep: the tables in which the degree above finds
+its faces' rows, with no index of the cells.  Every boundary entry is
++-1, so the square-zero check compares, per column of d_k, the sorted
+rows of the +1 terms of d_(k-1) d_k with those of the -1 terms.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ class ColoredDynkinDiagram:
 
     @classmethod
     def from_map(cls, rank, eta):
+        cls(rank)  # rejects a bad rank before the vertices are checked against it
         mask = red = 0
         for v, s in dict(eta).items():
             v = checked_index(v, 1, rank, "colored vertex")
@@ -219,30 +223,6 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     return tuple(out)
 
 
-def _row_tables(W: WeylGroup, codim: int) -> dict:
-    """Where each cell of a codimension sits in ``enumerate_cells``' order, by arithmetic.
-
-    Per colored mask S: ``{red: rows}``, where ``rows`` lists the rows of that coloring's
-    cells, and ``rank``, which maps a group position to its place among the minimal coset
-    reps of W_S (None off them).  The cell (S, red, w) is ``rows[rank[w]]``, that is
-    offset(S) + t(red) * |W^S| + rank_S(w).  Every row is a slice of one
-    ``list(range(n))``, so the columns that store a row share its int.
-    """
-    blocks = list(_blocks(W, codim))
-    rows = list(range(sum(len(reds) * len(reps) for _, reds, reps in blocks)))
-    tables, start = {}, 0
-    for S, reds, reps in blocks:
-        n, rank = len(reps), [None] * len(W)
-        for r, rep in enumerate(reps):
-            rank[rep.position] = r
-        by_red = {}
-        for red in reds:
-            by_red[red] = rows[start:start + n]
-            start += n
-        tables[S] = by_red, rank
-    return tables
-
-
 def cell_count_formula(W: WeylGroup, codim: int) -> int:
     l = _group(W).rank
     codim = checked_index(codim, 0, l, "codimension")
@@ -352,8 +332,11 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     ``test_matches_tuple_indexed_reference`` holds this loop equal to a
     reference assembly that calls ``signs._act``.
 
-    A face's row is arithmetic on the basis order (``_row_tables``, built
-    for one degree at a time), with no index of the cells.  A cell whose
+    Degrees run from 0 up, each one walk over its blocks in basis order
+    (``_blocks``); a block's face table is built once for its colored set,
+    and its rows and rep places are recorded for the degree above.  A
+    face's row is read from the degree below's, with no index of the
+    cells; degree 0 has no faces, so its columns are empty.  A cell whose
     least vertex of A (module docstring) is uncolored is matched with its
     Blue face on that vertex, whose walk has no letters, and filed under
     the key (-l(w), min A) that the pair shares; each degree joins its
@@ -374,47 +357,51 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     inside = [[o & S for o in odd] for S in masks]
     lowest = [(d & -d).bit_length() - 1 for d in masks]
     bases = tuple(enumerate_cells(W, l - k) for k in range(l + 1))
-    boundaries = [IntMatrix(0, len(bases[0]))]
-    matching = []
-    for k in range(1, l + 1):
-        tables = _row_tables(W, l - k + 1)
-        columns = []
-        buckets: dict[int, dict[int, int]] = {}  # gradient key -> {face: cell}
-        D = None
-        for i, cell in enumerate(bases[k]):
-            if cell.diagram is not D:  # a diagram's cells come one after another
-                D = cell.diagram
-                red, blue, uncolored = D.red, D.mask ^ D.red, full ^ D.mask
-                # per face j: the Red face's literal sign (the Blue face's is its negation),
-                # the new vertex's bit, the colored mask S, S's row tables, flips and recolors
-                fs = [(diagram_boundary(D, j, 1)[0], S ^ D.mask, S, tables[S], flips[S], inside[S])
-                      for j, S in enumerate((D.mask | 1 << (v - 1) for v in D.uncolored), 1)]
-            w = cell.rep.position
-            free = uncolored & ~descents[w]
-            A = blue | free
-            down = A & -A & free  # the least vertex of A if it is uncolored, else 0
-            column: dict[int, int] = {}
-            for sgn_red, bit, S, (by_red, rank), flip, recolor in fs:
-                x, red_face, blue_face, sgn_blue = w, red | bit, red, -sgn_red
-                while d := descents[x] & S:  # no step when the new vertex is not in Desc(w)
-                    letter = lowest[d]
-                    x = right[x][letter]
-                    if red_face >> letter & 1:
-                        if flip >> letter & 1:
-                            sgn_red = -sgn_red
-                        red_face ^= recolor[letter]
-                    if blue_face >> letter & 1:
-                        if flip >> letter & 1:
-                            sgn_blue = -sgn_blue
-                        blue_face ^= recolor[letter]
-                r = rank[x]
-                column[by_red[red_face][r]] = sgn_red
-                r = by_red[blue_face][r]
-                column[r] = sgn_blue
-                if bit == down:  # key (-l(w), min A), shared by the pair
-                    buckets.setdefault(down - (cell.rep.length << l), {})[r] = i
-            columns.append(column)
-        boundaries.append(IntMatrix.from_columns(len(bases[k - 1]), columns))
-        del tables, fs  # freed before the join and the next degree's tables
+    boundaries, matching, tables, size = [], [], {}, 0  # the degree below: its row tables, its size
+    for k in range(l + 1):
+        columns, placed, start, buckets = [], {}, 0, {}  # buckets: gradient key -> {face: cell}
+        for mask, reds, reps in _blocks(W, l - k):
+            D = ColoredDynkinDiagram(l, mask)
+            uncolored = full ^ mask
+            # per face j: the Red face's literal sign (the Blue face's is its negation),
+            # the new vertex's bit, the colored mask S, S's row tables, flips and recolors
+            fs = [(diagram_boundary(D, j, 1)[0], S ^ mask, S, tables[S], flips[S], inside[S])
+                  for j, S in enumerate((mask | 1 << (v - 1) for v in D.uncolored), 1)]
+            placed[mask] = here, rank = {}, [None] * len(W)  # read by the degree above
+            for r, rep in enumerate(reps):
+                rank[rep.position] = r
+            for red in reds:
+                here[red] = rows = list(range(start, start + len(reps)))
+                start += len(reps)
+                blue = mask ^ red
+                for i, rep in zip(rows, reps):
+                    w = rep.position
+                    free = uncolored & ~descents[w]
+                    A = blue | free
+                    down = A & -A & free  # the least vertex of A if it is uncolored, else 0
+                    column: dict[int, int] = {}
+                    for sgn_red, bit, S, (by_red, rank_S), flip, recolor in fs:
+                        x, red_face, blue_face, sgn_blue = w, red | bit, red, -sgn_red
+                        while d := descents[x] & S:  # no step when the new vertex is not in Desc(w)
+                            letter = lowest[d]
+                            x = right[x][letter]
+                            if red_face >> letter & 1:
+                                if flip >> letter & 1:
+                                    sgn_red = -sgn_red
+                                red_face ^= recolor[letter]
+                            if blue_face >> letter & 1:
+                                if flip >> letter & 1:
+                                    sgn_blue = -sgn_blue
+                                blue_face ^= recolor[letter]
+                        r = rank_S[x]
+                        column[by_red[red_face][r]] = sgn_red
+                        r = by_red[blue_face][r]
+                        column[r] = sgn_blue
+                        if bit == down:  # key (-l(w), min A), shared by the pair
+                            buckets.setdefault(down - (rep.length << l), {})[r] = i
+                    columns.append(column)
+        boundaries.append(IntMatrix.from_columns(size, columns))
+        tables, size = placed, start
+        del fs  # frees the degree below's tables before the join
         matching.append({t: i for key in sorted(buckets) for t, i in buckets[key].items()})
-    return ChainComplex(bases, tuple(boundaries), tuple(matching))
+    return ChainComplex(bases, tuple(boundaries), tuple(matching[1:]))  # degree 0 has no pairs

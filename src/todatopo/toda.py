@@ -61,7 +61,10 @@ _INVARIANT_BLOCK = 64  # rows per matrix stack in _invariant_rows; bounds its te
 
 @dataclass(frozen=True)
 class TodaState:
-    """Point of the flow: a and b coordinates and the current time."""
+    """Point of the flow: a and b coordinates and the current time.
+
+    Each is kept as given and must be a value float() reads (nan and inf too).
+    """
 
     a: tuple
     b: tuple
@@ -72,6 +75,11 @@ class TodaState:
             raise ConfigError("a and b must have equal length")
         if not self.a:
             raise ConfigError("rank must be at least 1")
+        for x in (*self.a, *self.b, self.t):
+            try:
+                float(x)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"coordinates and t must be real numbers: {e}") from None
 
     @property
     def rank(self) -> int:
@@ -205,14 +213,15 @@ def step(state: TodaState, dt: float) -> TodaState:
     """One classical Runge-Kutta step; a negative dt integrates backwards, and t + dt must not be t."""
     if dt == 0 or not math.isfinite(dt):
         raise ConfigError(f"dt must be nonzero and finite, got {dt}")
-    if not math.isfinite(state.t):
-        raise ConfigError(f"the start time must be finite, got {state.t}")
-    if state.t + dt == state.t:
-        raise ConfigError(f"dt = {dt} is below the resolution of the start time t = {state.t}: "
+    t = float(state.t)
+    if not math.isfinite(t):
+        raise ConfigError(f"the start time must be finite, got {t}")
+    if t + dt == t:
+        raise ConfigError(f"dt = {dt} is below the resolution of the start time t = {t}: "
                           "the step would not advance t")
     a = _floats(state.a)
     na, nb = _one_step(_rk4_kernel(len(a)), a, _floats(state.b), dt)
-    return TodaState(na, nb, state.t + dt)
+    return TodaState(na, nb, t + dt)
 
 
 def chevalley_invariants(state: TodaState) -> tuple:

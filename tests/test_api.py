@@ -46,6 +46,8 @@ class TestPublicNames:
 @pytest.mark.parametrize("call,error", [
     (lambda: todatopo.ColoredDynkinDiagram.from_map(3, {1.5: -1.7}), todatopo.ConfigError),
     (lambda: todatopo.ColoredDynkinDiagram.from_map(3, {1: -1.7}), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram.from_map(2.5, {1: -1}), todatopo.ConfigError),
+    (lambda: todatopo.ColoredDynkinDiagram.from_map("3", {1: -1}), todatopo.ConfigError),
     (lambda: todatopo.apply_simple_reflection(1, (1.5, -1.2), todatopo.cartan_matrix("C", 2)),
      todatopo.ConfigError),
     (lambda: todatopo.apply_simple_reflection(1.5, (1, 1), todatopo.cartan_matrix("C", 2)),
@@ -91,8 +93,8 @@ class TestPublicNames:
     (lambda: todatopo.build_chain_complex(todatopo.cartan_matrix("A", 2)), todatopo.ConfigError),
     (lambda: todatopo.enumerate_cells("x", 1), todatopo.ConfigError),
     (lambda: cell_count_formula(todatopo.cartan_matrix("A", 2), 1), todatopo.ConfigError),
-], ids=["from_map-vertex", "from_map-color", "validate_signs", "letter", "from_entries",
-       "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
+], ids=["from_map-vertex", "from_map-color", "from_map-rank", "from_map-rank-str",
+       "validate_signs", "letter", "from_entries", "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
        "cell_count_formula-negative", "IntMatrix-value", "IntMatrix-index",
        "HomologyGroup-negative", "HomologyGroup-float", "diagram-mask", "diagram-rank",

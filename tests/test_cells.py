@@ -18,7 +18,7 @@ from todatopo import (
     ws_act_on_diagram,
     ws_act_oriented,
 )
-from todatopo.cells import _row_tables, cell_count_formula
+from todatopo.cells import cell_count_formula
 from todatopo.errors import ConfigError
 from todatopo.signs import _act, _odd_columns
 
@@ -256,20 +256,24 @@ class TestEnumeration:
     @pytest.mark.parametrize("letter,rank", LIE_TYPES)
     def test_row_formula_finds_every_cell(self, letter, rank):
         # Row of (S, red, w) = offset(S) + t(red) * |W^S| + rank_S(w), with t(red) the Red
-        # bits of S read as a binary number, the least vertex most significant.
+        # bits of S read as a binary number, the least vertex most significant.  Each row of
+        # a boundary column is a face: one more vertex colored, at the rep of w's coset there.
         W = generate_weyl_group(cartan_matrix(letter, rank))
-        for codim in range(rank + 1):
-            tables = _row_tables(W, codim)
+        cx = build_chain_complex(W)
+        for k, basis in enumerate(cx.bases):
             offset, reps = 0, {}
-            for i, cell in enumerate(enumerate_cells(W, codim)):
+            for i, cell in enumerate(basis):
                 D = cell.diagram
                 S = D.colored_vertices
                 if D.mask not in reps:  # the first cell of a colored set
-                    offset, reps[D.mask] = i, W.coset_min_reps(S)
+                    offset, reps[D.mask] = i, {w: r for r, w in enumerate(W.coset_min_reps(S))}
                 t = int("".join(str(D.red >> (v - 1) & 1) for v in S) or "0", 2)
-                r = reps[D.mask].index(cell.rep)
-                by_red, rank_of = tables[D.mask]
-                assert by_red[D.red][rank_of[cell.rep.position]] == i == offset + t * len(reps[D.mask]) + r
+                assert i == offset + t * len(reps[D.mask]) + reps[D.mask][cell.rep]
+                for r in cx.boundary(k).columns[i]:
+                    face = cx.bases[k - 1][r]
+                    new = face.diagram.mask ^ D.mask
+                    assert new & D.mask == 0 and new.bit_count() == 1
+                    assert face.rep == W.min_coset_rep(cell.rep, face.diagram.colored_vertices)
 
     def test_cell_dimensions(self, W_A3):
         for codim in range(4):

@@ -28,6 +28,32 @@ class TestState:
         with pytest.raises(ConfigError, match=message):
             TodaState(a, b)
 
+    # Each reader failed on these with a bare ValueError or TypeError.
+    @pytest.mark.parametrize("read", [
+        lambda s: integrate(s, 1.0, 0.1), lambda s: step(s, 0.1), eigenvalues, chevalley_invariants,
+    ], ids=["integrate", "step", "eigenvalues", "chevalley_invariants"])
+    @pytest.mark.parametrize("a,b,t", [
+        (("x",), (1.0,), 0.0), ((None,), (1.0,), 0.0), ((1j,), (1.0,), 0.0),
+        ((0.0,), ("x",), 0.0), ((0.0,), (1.0,), "t"), ((10**400,), (1.0,), 0.0),
+    ], ids=["a-str", "a-None", "a-complex", "b-str", "t-str", "a-too-large"])
+    def test_unreadable_coordinate_rejected(self, read, a, b, t):
+        with pytest.raises(ConfigError, match="must be real numbers"):
+            read(TodaState(a, b, t))
+
+    def test_readable_coordinates_kept_as_given(self):
+        # float() reads them; the readers convert, so the run equals the float one's.
+        s = TodaState(("0.5",), (1,), "0")
+        assert (s.a, s.b, s.t) == (("0.5",), (1,), "0")
+        assert step(s, 0.1) == step(TodaState((0.5,), (1.0,)), 0.1)
+        assert integrate(s, 1.0, 0.1).a == integrate(TodaState((0.5,), (1.0,)), 1.0, 0.1).a
+        assert chevalley_invariants(s) == chevalley_invariants(TodaState((0.5,), (1.0,)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the invariants of the start
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_allowed(self, x):
+        # integrate reads them as a blow-up at the start.
+        assert integrate(TodaState((x,), (1.0,)), 1.0, 0.1).blowup.time == 0.0
+
 
 class TestAssemble:
     def test_n2(self):
