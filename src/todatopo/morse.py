@@ -4,8 +4,10 @@ principal-cell combinatorics of the A-series.
 
 Critical points are Weyl elements; the stable roots of ``a`` are its right
 descents and the index counts the others.  The Morse-Smale scan is keyed by
-stable set and inverts each source once, and one walk of a^-1 b tests a pair
-and gives its incidence.  The A-series Betti sums are transfer sums over block
+stable set: it lists each stable set's targets once and inverts each source
+once.  One walk of a^-1 b tests a pair and pushes the sign mask of its
+incidence as it goes, with no letter list; the scan, ``is_transversal`` and
+``incidence`` share it.  The A-series Betti sums are transfer sums over block
 states.
 
 The incidence (1 + (-1)^sigma) * (+-1) counts in sigma the unstable
@@ -21,11 +23,11 @@ from itertools import accumulate, product
 from math import comb
 from operator import add, sub
 
-from .cells import ChainComplex
+from .cells import ChainComplex, _group
 from .errors import ConfigError, CorruptComplexError, IncidenceError
 from .lie import _FOREIGN, WeylElement, WeylGroup
 from .matrices import IntMatrix
-from .signs import _act, _odd_columns
+from .signs import _odd_columns
 
 MAX_PRINCIPAL_RANK = 20  # closed forms
 MAX_PRINCIPAL_GRAPH_RANK = 12  # principal_graph stores about 0.75 * 3^l faces
@@ -65,6 +67,7 @@ def index(a: WeylElement) -> int:
 
 
 def toda_graph(W: WeylGroup) -> TodaGraph:
+    W = _group(W)
     edges = []
     for a in W.elements:
         row, sa = W._right[a.position], W._descents[a.position]
@@ -72,24 +75,29 @@ def toda_graph(W: WeylGroup) -> TodaGraph:
     return TodaGraph(W.elements, tuple(edges))
 
 
-def _descend(W: WeylGroup, a_inv: int, b: WeylElement, ua: int, sb: int) -> list | None:
-    """Zero-based letters walking a^-1 b (a_inv the position of a^-1) down to e by right descents
-    in B, then in A; in order they act on signs as a^-1 b.  None if a W_A and b W_B do not meet
-    (W_A's descents lie in A)."""
-    rep, letters = W._coset_walk(W._walk(a_inv, b.word), sb)
-    e, more = W._coset_walk(rep, ua)
-    return None if e else letters + more
+def _connect(W: WeylGroup, a_inv: int, b: WeylElement, sa: int, odd) -> int | None:
+    """Red mask of a^-1 b (a_inv the position of a^-1, b stable on a's stable roots sa and
+    more), or None if a W_A and b W_B do not meet.  One walk runs a^-1 along b's word, then
+    down to e by right descents in B = stable(b), then in A = unstable(a) (W_A's descents lie
+    in A).  Red starts as B outside sa, and each Red letter c taken down flips odd[c]:
+    ``signs._act`` on S = all roots, which flips no orientation."""
+    right, descents = W._right, W._descents
+    x = a_inv
+    for c in b.word:
+        x = right[x][c - 1]
+    sb = descents[b.position]
+    red = sb & ~sa
+    for mask in (sb, ~sa):
+        while d := descents[x] & mask:
+            c = (d & -d).bit_length() - 1
+            if red >> c & 1:
+                red ^= odd[c]
+            x = right[x][c]
+    return None if x else red
 
 
-def _incidence(W: WeylGroup, a: WeylElement, a_inv: int, b: WeylElement, odd) -> int | None:
-    """Incidence of a -> b, b stable on a's stable roots plus one; None if not transversal."""
-    full = (1 << W.rank) - 1
-    sa = W._descents[a.position]
-    i = W._descents[b.position] & ~sa
-    letters = _descend(W, a_inv, b, full ^ sa, sa | i)
-    if letters is None:
-        return None
-    red = _act(letters, full, i, odd)[1]
+def _value(b: WeylElement, sa: int, i: int, red: int) -> int:
+    """Incidence of a -> b from the Red mask of a^-1 b, i the root b adds to a's stable set."""
     if (red & ~sa).bit_count() & 1:
         return 0
     return 2 * (-1) ** (b.length + 1 + (sa & i - 1).bit_count())
@@ -106,11 +114,11 @@ def is_transversal(a: WeylElement, b: WeylElement) -> bool:
     if W is None or getattr(b, "group", None) is not W:
         raise ConfigError(_FOREIGN)
     full = (1 << W.rank) - 1
-    ua = full ^ W._descents[a.position]
-    sb = W._descents[b.position]
+    sa, sb = W._descents[a.position], W._descents[b.position]
+    ua = full ^ sa
     if (ua & sb).bit_count() != index(a) - index(b) or ua | sb != full:
         return False
-    return _descend(W, W.inverse(a).position, b, ua, sb) is not None
+    return _connect(W, W.inverse(a).position, b, sa, _odd_columns(W.cartan)) is not None
 
 
 def incidence(a: WeylElement, b: WeylElement) -> int:
@@ -133,13 +141,15 @@ def incidence(a: WeylElement, b: WeylElement) -> int:
         raise ConfigError(_FOREIGN)
     if index(a) != index(b) + 1:
         raise IncidenceError("incidence needs index(a) == index(b) + 1")
-    if (~W._descents[a.position] & W._descents[b.position]).bit_count() != 1:
+    sa = W._descents[a.position]
+    i = ~sa & W._descents[b.position]
+    if i.bit_count() != 1:
         raise IncidenceError("incidence needs a single shared direction")
     # The first two transversality conditions now hold.
-    value = _incidence(W, a, W.inverse(a).position, b, _odd_columns(W.cartan))
-    if value is None:
+    red = _connect(W, W.inverse(a).position, b, sa, _odd_columns(W.cartan))
+    if red is None:
         raise IncidenceError("connection is not transversal")
-    return value
+    return _value(b, sa, i, red)
 
 
 def is_abelian_unstable(a: WeylElement) -> bool:
@@ -150,18 +160,24 @@ def is_abelian_unstable(a: WeylElement) -> bool:
 
 def morse_smale_edges(W: WeylGroup) -> tuple[MorseEdge, ...]:
     """All transversal index-drop-one connections with incidences, by falling source index, then
-    position.  Conditions 1-2 make b stable on a's stable roots plus one, the only sets tried."""
+    position.  Conditions 1-2 make b stable on a's stable roots plus one, the only sets tried;
+    the targets of each stable set are listed once, by position."""
+    W = _group(W)
     odd = _odd_columns(W.cartan)
     by_stable: dict[int, list[WeylElement]] = {}
     for w in W.elements:
         by_stable.setdefault(W._descents[w.position], []).append(w)
+    targets: dict[int, list[WeylElement]] = {}
     edges = []
     for a in sorted(W.elements, key=index, reverse=True):
         sa, a_inv = W._descents[a.position], W.inverse(a).position
-        ups = (sa | 1 << i for i in range(W.rank) if not sa >> i & 1)
-        for b in sorted((b for s in ups for b in by_stable.get(s, ())), key=lambda w: w.position):
-            if (value := _incidence(W, a, a_inv, b, odd)) is not None:
-                edges.append(MorseEdge(a, b, value))
+        if (bs := targets.get(sa)) is None:
+            ups = (sa | 1 << i for i in range(W.rank) if not sa >> i & 1)
+            bs = targets[sa] = sorted((b for s in ups for b in by_stable.get(s, ())),
+                                      key=lambda w: w.position)
+        for b in bs:
+            if (red := _connect(W, a_inv, b, sa, odd)) is not None:
+                edges.append(MorseEdge(a, b, _value(b, sa, W._descents[b.position] & ~sa, red)))
     return tuple(edges)
 
 

@@ -27,10 +27,12 @@ def word_list(w) -> list:
 
 # -- cells -------------------------------------------------------------------
 #
-# The three cells artifacts are generators of text chunks, one or two per
-# degree, so that no artifact is held whole in memory.  A row is the text of
-# its diagram, built once per run of cells sharing one diagram object, around
-# the text of its coset representative, built once per representative.
+# The three cells artifacts are generators of text chunks, one per degree
+# (two for the cells JSON: the separator, then the degree's joined rows), so
+# that no artifact is held whole in memory and no degree's text is copied
+# after its join.  A row is the text of its diagram, built once per run of
+# cells sharing one diagram object, around the text of its coset
+# representative, built once per representative.
 # cell_rows and cells_json_obj are the same rows as dicts, the reference the
 # streamed text is tested against.
 
@@ -119,7 +121,8 @@ def _json_rep(rep) -> str:
 
 
 def cells_json(type_label: str, rank: int, cx: ChainComplex):
-    """The text of ``dump_json(cells_json_obj(...))`` as chunks, one per degree.
+    """The text of ``dump_json(cells_json_obj(...))`` as chunks: per degree, the
+    separator and then its rows, so no degree's text is copied to prefix it.
 
     Only the cells list is laid out here; the other keys come from
     ``dump_json``, with the list's place marked by a null.
@@ -131,7 +134,8 @@ def cells_json(type_label: str, rank: int, cx: ChainComplex):
     sep = "\n"
     for rows in _row_texts(cx, _json_diagram, _json_rep):
         if rows:
-            yield sep + ",\n".join(rows)
+            yield sep
+            yield ",\n".join(rows)
             sep = ",\n"
     yield ("]" if sep == "\n" else "\n  ]") + tail
 

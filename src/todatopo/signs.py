@@ -8,9 +8,10 @@ the rightmost letter applied first, so the action respects the group
 law ``apply_weyl(u*v, eps) == apply_weyl(u, apply_weyl(v, eps))``.
 ``_act``, on masks of the -1 entries, is the rule's reference; on colored
 coordinates S it also gives an orientation sign (1 for S = all).
-``apply_weyl``, ``cells.ws_act_oriented`` and the Morse incidence call it;
-boundary assembly applies the same step inline along its coset walk, and
-``test_matches_tuple_indexed_reference`` holds the two equal.
+``apply_weyl`` and ``cells.ws_act_oriented`` call it.  Boundary assembly
+applies the same step inline along its coset walk, and the Morse scan
+along its walk of a^-1 b; ``test_matches_tuple_indexed_reference`` and
+``TestLetterListReference`` hold each equal to it.
 """
 
 from __future__ import annotations

@@ -93,6 +93,9 @@ class TestPublicNames:
     (lambda: todatopo.build_chain_complex(todatopo.cartan_matrix("A", 2)), todatopo.ConfigError),
     (lambda: todatopo.enumerate_cells("x", 1), todatopo.ConfigError),
     (lambda: cell_count_formula(todatopo.cartan_matrix("A", 2), 1), todatopo.ConfigError),
+    (lambda: todatopo.toda_graph("x"), todatopo.ConfigError),
+    (lambda: todatopo.morse_smale_edges(todatopo.cartan_matrix("A", 2)), todatopo.ConfigError),
+    (lambda: todatopo.morse_complex("x"), todatopo.ConfigError),
 ], ids=["from_map-vertex", "from_map-color", "from_map-rank", "from_map-rank-str",
        "validate_signs", "letter", "from_entries", "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
@@ -101,7 +104,8 @@ class TestPublicNames:
        "diagram-red", "diagram-negative-rank", "conjectured_betti-degree", "eta-float",
        "eta-out-of-range", "from_columns-value", "from_columns-integral-float", "from_columns-row",
        "from_columns-int64", "build_chain_complex-group", "enumerate_cells-group",
-       "cell_count_formula-group"])
+       "cell_count_formula-group", "toda_graph-group", "morse_smale_edges-group",
+       "morse_complex-group"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

@@ -26,6 +26,7 @@ from todatopo import (
 )
 from todatopo.errors import ConfigError, CorruptComplexError
 from todatopo.morse import MAX_PRINCIPAL_RANK, stable_set, unstable_set
+from todatopo.signs import _act, _odd_columns
 
 from dense_reference import composes_to_zero, triplets
 
@@ -150,6 +151,76 @@ class TestScanReference:
             if index(b) == k - 1 and is_transversal(a, b)
         ]
         assert list(morse_smale_edges(W)) == want
+
+
+def reference_incidence(W, a, b, odd):
+    """Incidence of a -> b, b stable on a's stable roots plus one, or None if not transversal,
+    by letter lists: two coset walks of a^-1 b spell its letters, then ``signs._act`` pushes
+    the Red mask along them (the path the scan took before one walk did both)."""
+    full = (1 << W.rank) - 1
+    sa = W._descents[a.position]
+    i = W._descents[b.position] & ~sa
+    rep, letters = W._coset_walk(W.multiply(W.inverse(a), b).position, sa | i)
+    e, more = W._coset_walk(rep, full ^ sa)
+    if e:
+        return None
+    red = _act(letters + more, full, i, odd)[1]
+    if (red & ~sa).bit_count() & 1:
+        return 0
+    return 2 * (-1) ** (b.length + 1 + (sa & i - 1).bit_count())
+
+
+def reference_edges(W):
+    """Morse-Smale edges by falling source index, then source and target position, each pair
+    valued by ``reference_incidence``."""
+    odd = _odd_columns(W.cartan)
+    edges = []
+    for a in sorted(W, key=index, reverse=True):
+        sa = W._descents[a.position]
+        for b, sb in zip(W, W._descents):
+            if sb & sa == sa and (sb ^ sa).bit_count() == 1:
+                if (value := reference_incidence(W, a, b, odd)) is not None:
+                    edges.append(MorseEdge(a, b, value))
+    return edges
+
+
+REFERENCE_TYPES = [
+    *(("A", r) for r in range(1, 6)), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("G", 2), ("F", 4)
+]
+
+
+class TestLetterListReference:
+    @pytest.mark.parametrize(
+        "label,rank",
+        [*REFERENCE_TYPES, *(pytest.param(t, r, marks=pytest.mark.slow) for t, r in [("B", 5), ("A", 6)])],
+        ids=[f"{t}-{r}" for t, r in [*REFERENCE_TYPES, ("B", 5), ("A", 6)]],
+    )
+    def test_scan_matches_letter_lists(self, label, rank):
+        W = generate_weyl_group(cartan_matrix(label, rank))
+        assert list(morse_smale_edges(W)) == reference_edges(W)
+
+    @pytest.mark.parametrize("fix", ["W_A3", "W_B3", "W_G2"])
+    def test_incidence_on_every_index_drop_one_pair(self, fix, request):
+        W = request.getfixturevalue(fix)
+        odd = _odd_columns(W.cartan)
+        tried = 0
+        for a in W:
+            for b in W:
+                if index(a) != index(b) + 1:
+                    continue
+                if (~W._descents[a.position] & W._descents[b.position]).bit_count() != 1:
+                    with pytest.raises(IncidenceError, match="single shared direction"):
+                        incidence(a, b)
+                    continue
+                want = reference_incidence(W, a, b, odd)
+                assert is_transversal(a, b) == (want is not None), (a, b)
+                if want is None:
+                    with pytest.raises(IncidenceError, match="not transversal"):
+                        incidence(a, b)
+                else:
+                    assert incidence(a, b) == want, (a, b)
+                    tried += 1
+        assert tried == len(morse_smale_edges(W))
 
 
 class TestIncidence:
