@@ -63,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
-from .errors import ConfigError, CorruptComplexError, NotInSubgroupError, checked_index
-from .lie import WeylElement, WeylGroup
+from .errors import ConfigError, CorruptComplexError, NotInSubgroupError, checked_index, checked_type
+from .lie import WeylElement, WeylGroup, _group_of
 from .matrices import IntMatrix
 from .signs import _act, _odd_columns
 
@@ -159,8 +159,9 @@ def ws_act_oriented(x: WeylElement, diagram: ColoredDynkinDiagram) -> tuple[int,
 
     x acts through its group's Cartan matrix, whose rank the diagram's must equal.
     """
-    if diagram.rank != x.group.rank:
-        raise ConfigError(f"diagram of rank {diagram.rank} for a group of rank {x.group.rank}")
+    W = _group_of(x)
+    if checked_type(diagram, ColoredDynkinDiagram).rank != W.rank:
+        raise ConfigError(f"diagram of rank {diagram.rank} for a group of rank {W.rank}")
     S = diagram.mask
     for i in x.word:
         if not S >> (i - 1) & 1:
@@ -168,7 +169,7 @@ def ws_act_oriented(x: WeylElement, diagram: ColoredDynkinDiagram) -> tuple[int,
                 f"letter {i} is not in the colored set {list(diagram.colored_vertices)}; "
                 "element outside W_S"
             )
-    sign, red = _act([i - 1 for i in reversed(x.word)], S, diagram.red, _odd_columns(x.group.cartan))
+    sign, red = _act([i - 1 for i in reversed(x.word)], S, diagram.red, _odd_columns(W.cartan))
     return sign, ColoredDynkinDiagram(diagram.rank, S, red)
 
 
@@ -179,18 +180,12 @@ def diagram_boundary(
 
     Returns ``((-1) ** (j + c + 1), new diagram)``.
     """
-    uncolored = diagram.uncolored
+    uncolored = checked_type(diagram, ColoredDynkinDiagram).uncolored
     j = checked_index(j, 1, len(uncolored), "boundary index")
     c = checked_index(c, 1, 2, "color index")
     bit = 1 << (uncolored[j - 1] - 1)
     red = diagram.red | bit if c == 1 else diagram.red
     return (-1) ** (j + c + 1), ColoredDynkinDiagram(diagram.rank, diagram.mask | bit, red)
-
-
-def _group(W) -> WeylGroup:
-    if not isinstance(W, WeylGroup):
-        raise ConfigError(f"expected a WeylGroup, got {type(W).__name__}")
-    return W
 
 
 def _blocks(W: WeylGroup, codim: int):
@@ -213,7 +208,7 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
     Blue before Red per vertex, then coset representatives by
     (length, word).  The count is ``sum over |S|=codim of 2^codim * |W| / |W_S|``.
     """
-    l = _group(W).rank
+    l = checked_type(W, WeylGroup).rank
     codim = checked_index(codim, 0, l, "codimension")
     out = []
     for S, reds, reps in _blocks(W, codim):
@@ -224,7 +219,7 @@ def enumerate_cells(W: WeylGroup, codim: int) -> tuple[Cell, ...]:
 
 
 def cell_count_formula(W: WeylGroup, codim: int) -> int:
-    l = _group(W).rank
+    l = checked_type(W, WeylGroup).rank
     codim = checked_index(codim, 0, l, "codimension")
     return sum(
         2**codim * len(W) // W.parabolic_order(S)
@@ -348,7 +343,7 @@ def build_chain_complex(W: WeylGroup) -> ChainComplex:
     masks: each letter's step is an involution, as it keeps its own bit
     (C_ii = 2 is even).
     """
-    odd = _odd_columns(_group(W).cartan)
+    odd = _odd_columns(checked_type(W, WeylGroup).cartan)
     descents, right = W._descents, W._right
     l = W.rank
     full = (1 << l) - 1

@@ -162,11 +162,7 @@ def cmd_morse(args):
         raise ConfigError("--poincare/--betti1/--conjecture apply to type A only")
     if selectors and (args.toda_dot or args.morse_dot):
         raise ConfigError("--toda-dot/--morse-dot need the full report, not --poincare/--betti1/--conjecture")
-    obj: dict = {
-        "schema_version": report.SCHEMA_VERSION,
-        "type": args.type,
-        "rank": args.rank,
-    }
+    obj = report.json_header(args.type, args.rank)
     lines: list[str] = []
     artifacts = {}
     if not selectors:
@@ -175,18 +171,14 @@ def cmd_morse(args):
         # The one incidence reading; the key keeps the JSON schema stable.
         obj["sigma_interpretation"] = "value"
         obj["critical_points"] = [
-            {"word": report.word_list(w), "label": label(w), "index": index(w)}
+            {"word": list(w.word), "label": label(w), "index": index(w)}
             for w in W.elements
         ]
         graph = toda_graph(W)
         obj["toda_graph"] = {"vertices": len(graph.vertices), "edges": len(graph.edges)}
         edges = morse_smale_edges(W)
         obj["morse_smale_edges"] = [
-            {
-                "source": report.word_list(e.source),
-                "target": report.word_list(e.target),
-                "incidence": e.incidence,
-            }
+            {"source": list(e.source.word), "target": list(e.target.word), "incidence": e.incidence}
             for e in edges
         ]
         cx = _complex_from_edges(W, edges)
@@ -212,11 +204,13 @@ def cmd_morse(args):
             coeffs = poincare_polynomial(args.rank)
             obj["poincare"] = {"coefficients": list(coeffs), "string": report.poly_str(coeffs)}
             lines.append(f"principal-cell polynomial: {report.poly_str(coeffs)}")
+        if args.betti1 or args.conjecture or not selectors:
+            betti1 = betti_one(args.rank)
         if args.betti1 or not selectors:
-            obj["betti1"] = betti_one(args.rank)
-            lines.append(f"betti_1 = {obj['betti1']}")
+            obj["betti1"] = betti1
+            lines.append(f"betti_1 = {betti1}")
         if args.conjecture or not selectors:
-            obj["betti_table"] = _betti_table(args.rank)
+            obj["betti_table"] = _betti_table(args.rank, betti1)
             if selectors:
                 for row in obj["betti_table"]:
                     tag = " (conjecture)" if row["conjecture"] else ""
@@ -225,8 +219,9 @@ def cmd_morse(args):
     return lines, artifacts
 
 
-def _betti_table(l: int) -> list:
-    table = [{"k": 1, "value": betti_one(l), "conjecture": False}]  # betti_one checks the rank
+def _betti_table(l: int, betti1: int) -> list:
+    """Betti table of rank l: degree 1 is betti1 = betti_one(l), the others are conjectural."""
+    table = [{"k": 1, "value": betti1, "conjecture": False}]
     for k in range(2, l + 1):
         table.append({"k": k, "value": conjectured_betti(l, k), "conjecture": True})
     return table

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``checked_index``, its one index check."""
+"""Exception types shared across the package, and its two argument checks:
+``checked_index`` for indices and ``checked_type`` for the package's own values."""
 
 
 class TodatopoError(Exception):
@@ -42,3 +43,10 @@ def checked_index(i, lo: int, hi: int, what: str, error: type = ConfigError) -> 
     if i not in range(lo, hi + 1):  # compares values: 1.5 is not in it, 2.0 is
         raise error(f"{what} {i} out of range {lo}..{hi}")
     return int(i)
+
+
+def checked_type(x, cls: type):
+    """``x`` if it is a ``cls``; otherwise raise ``ConfigError("expected a <cls>, got <type>")``."""
+    if not isinstance(x, cls):
+        raise ConfigError(f"expected a {cls.__name__}, got {type(x).__name__}")
+    return x

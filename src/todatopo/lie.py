@@ -301,21 +301,18 @@ class WeylGroup(Sequence):
         return w
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        if getattr(u, "group", None) is not self or getattr(v, "group", None) is not self:
-            raise ConfigError(_FOREIGN)
+        _group_of(self.identity, u, v)
         return self.elements[self._walk(u.position, v.word)]
 
     def inverse(self, u: WeylElement) -> WeylElement:
-        if getattr(u, "group", None) is not self:
-            raise ConfigError(_FOREIGN)
+        _group_of(self.identity, u)
         return self.elements[self._walk(0, reversed(u.word))]
 
     def from_word(self, letters) -> WeylElement:
         return self.elements[self._walk(0, self._letters(letters))]
 
     def sends_simple_root_negative(self, w: WeylElement, i: int) -> bool:
-        if getattr(w, "group", None) is not self:
-            raise ConfigError(_FOREIGN)
+        _group_of(self.identity, w)
         return bool(self._descents[w.position] & _mask(self._letters((i,))))
 
     # -- parabolic machinery -------------------------------------------------
@@ -341,14 +338,24 @@ class WeylGroup(Sequence):
 
     def min_coset_rep(self, w: WeylElement, S) -> WeylElement:
         """Minimal-length representative of the left coset w * W_S."""
-        if getattr(w, "group", None) is not self:
-            raise ConfigError(_FOREIGN)
+        _group_of(self.identity, w)
         return self.elements[self._coset_walk(w.position, _mask(self._letters(S)))[0]]
 
     def coset_min_reps(self, S) -> tuple[WeylElement, ...]:
         """Minimal representatives of W / W_S (no right descent in S), canonical order."""
         mask = _mask(self._letters(S))
         return tuple(w for w in self.elements if not self._descents[w.position] & mask)
+
+
+def _group_of(x, *others) -> WeylGroup:
+    """The one group of x and ``others``, the guard of every function that reads an
+    element's tables: a value that is not a Weyl element, or elements of
+    different groups, raise ``ConfigError``.  A method passes its group's
+    identity first, so that an element of another group fails too."""
+    W = getattr(x, "group", None)
+    if not isinstance(W, WeylGroup) or others and any(getattr(y, "group", None) is not W for y in others):
+        raise ConfigError(_FOREIGN)
+    return W
 
 
 def generate_weyl_group(cartan: CartanMatrix) -> WeylGroup:

@@ -23,9 +23,9 @@ from itertools import accumulate, product
 from math import comb
 from operator import add, sub
 
-from .cells import ChainComplex, _group
-from .errors import ConfigError, CorruptComplexError, IncidenceError
-from .lie import _FOREIGN, WeylElement, WeylGroup
+from .cells import ChainComplex
+from .errors import ConfigError, CorruptComplexError, IncidenceError, checked_type
+from .lie import WeylElement, WeylGroup, _group_of
 from .matrices import IntMatrix
 from .signs import _odd_columns
 
@@ -49,25 +49,28 @@ class TodaGraph:
 
 
 def unstable_set(a: WeylElement) -> frozenset:
-    return frozenset(range(1, a.group.rank + 1)) - stable_set(a)
+    return frozenset(range(1, _group_of(a).rank + 1)) - stable_set(a)
 
 
 def stable_set(a: WeylElement) -> frozenset:
-    return frozenset(i + 1 for i in range(a.group.rank) if a.group._descents[a.position] >> i & 1)
+    W = _group_of(a)
+    return frozenset(i + 1 for i in range(W.rank) if W._descents[a.position] >> i & 1)
 
 
 def label(a: WeylElement) -> str:
     """One character per simple root: '0' if stable (a right descent), '*' if unstable."""
-    sa = a.group._descents[a.position]
-    return "".join("0" if sa >> i & 1 else "*" for i in range(a.group.rank))
+    W = _group_of(a)
+    sa = W._descents[a.position]
+    return "".join("0" if sa >> i & 1 else "*" for i in range(W.rank))
 
 
 def index(a: WeylElement) -> int:
-    return a.group.rank - a.group._descents[a.position].bit_count()
+    W = _group_of(a)
+    return W.rank - W._descents[a.position].bit_count()
 
 
 def toda_graph(W: WeylGroup) -> TodaGraph:
-    W = _group(W)
+    W = checked_type(W, WeylGroup)
     edges = []
     for a in W.elements:
         row, sa = W._right[a.position], W._descents[a.position]
@@ -110,9 +113,7 @@ def is_transversal(a: WeylElement, b: WeylElement) -> bool:
     index drop, A | B is every simple root (W_(A|B) = W only then), and
     the cosets a W_A and b W_B meet (then in a coset of W_(A&B)).
     """
-    W = getattr(a, "group", None)
-    if W is None or getattr(b, "group", None) is not W:
-        raise ConfigError(_FOREIGN)
+    W = _group_of(a, b)
     full = (1 << W.rank) - 1
     sa, sb = W._descents[a.position], W._descents[b.position]
     ua = full ^ sa
@@ -136,9 +137,7 @@ def incidence(a: WeylElement, b: WeylElement) -> int:
     through rank 3 and keeps the two families sign-symmetric at every
     rank.
     """
-    W = getattr(a, "group", None)
-    if W is None or getattr(b, "group", None) is not W:
-        raise ConfigError(_FOREIGN)
+    W = _group_of(a, b)
     if index(a) != index(b) + 1:
         raise IncidenceError("incidence needs index(a) == index(b) + 1")
     sa = W._descents[a.position]
@@ -154,7 +153,7 @@ def incidence(a: WeylElement, b: WeylElement) -> int:
 
 def is_abelian_unstable(a: WeylElement) -> bool:
     """Whether the unstable parabolic subgroup is abelian (its generators commute)."""
-    W, u = a.group, sorted(unstable_set(a))
+    W, u = _group_of(a), sorted(unstable_set(a))
     return all(W._walk(0, (i, j)) == W._walk(0, (j, i)) for i in u for j in u)
 
 
@@ -162,14 +161,14 @@ def morse_smale_edges(W: WeylGroup) -> tuple[MorseEdge, ...]:
     """All transversal index-drop-one connections with incidences, by falling source index, then
     position.  Conditions 1-2 make b stable on a's stable roots plus one, the only sets tried;
     the targets of each stable set are listed once, by position."""
-    W = _group(W)
+    W = checked_type(W, WeylGroup)
     odd = _odd_columns(W.cartan)
     by_stable: dict[int, list[WeylElement]] = {}
     for w in W.elements:
         by_stable.setdefault(W._descents[w.position], []).append(w)
     targets: dict[int, list[WeylElement]] = {}
     edges = []
-    for a in sorted(W.elements, key=index, reverse=True):
+    for a in sorted(W.elements, key=lambda w: W._descents[w.position].bit_count()):  # falling index
         sa, a_inv = W._descents[a.position], W.inverse(a).position
         if (bs := targets.get(sa)) is None:
             ups = (sa | 1 << i for i in range(W.rank) if not sa >> i & 1)
@@ -183,12 +182,13 @@ def morse_smale_edges(W: WeylGroup) -> tuple[MorseEdge, ...]:
 
 def _complex_from_edges(W: WeylGroup, edges) -> ChainComplex:
     """Morse chain complex graded by index, with the edges' nonzero incidences."""
-    bases = tuple(tuple(w for w in W.elements if index(w) == k) for k in range(W.rank + 1))
+    idx = [W.rank - d.bit_count() for d in W._descents]
+    bases = tuple(tuple(w for w in W.elements if idx[w.position] == k) for k in range(W.rank + 1))
     pos = {w: i for basis in bases for i, w in enumerate(basis)}
     columns = [[{} for _ in basis] for basis in bases]
     for e in edges:
         if e.incidence:
-            columns[index(e.source)][pos[e.source]][pos[e.target]] = e.incidence
+            columns[idx[e.source.position]][pos[e.source]][pos[e.target]] = e.incidence
     sizes = (0, *map(len, bases))
     matrices = (IntMatrix.from_columns(sizes[k], columns[k]) for k in range(len(bases)))
     return ChainComplex(bases, tuple(matrices))

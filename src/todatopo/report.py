@@ -21,8 +21,9 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def word_list(w) -> list:
-    return list(w.word)
+def json_header(type_label: str, rank: int) -> dict:
+    """The keys that open the cells, homology and Morse JSON artifacts."""
+    return {"schema_version": SCHEMA_VERSION, "type": type_label, "rank": rank}
 
 
 # -- cells -------------------------------------------------------------------
@@ -47,7 +48,7 @@ def cell_rows(cx: ChainComplex):
                     "dim": cell.dim,
                     "codim": cell.codim,
                     "colors": cell.diagram.color_string(),
-                    "coset_word": word_list(cell.rep),
+                    "coset_word": list(cell.rep.word),
                     "coset_length": cell.rep.length,
                 }
             )
@@ -92,9 +93,7 @@ def cells_csv(cx: ChainComplex):
 
 def _cells_summary(type_label: str, rank: int, cx: ChainComplex) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "type": type_label,
-        "rank": rank,
+        **json_header(type_label, rank),
         "counts_by_dim": list(cx.ranks()),
         "euler_characteristic": cx.euler_characteristic(),
     }
@@ -172,12 +171,7 @@ def homology_rows(groups) -> list:
 
 
 def homology_json_obj(type_label: str, rank: int, groups) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": type_label,
-        "rank": rank,
-        "groups": homology_rows(groups),
-    }
+    return {**json_header(type_label, rank), "groups": homology_rows(groups)}
 
 
 def homology_lines(groups) -> list:
@@ -187,28 +181,26 @@ def homology_lines(groups) -> list:
 # -- graphs --------------------------------------------------------------------
 
 
-def toda_graph_dot(graph: TodaGraph) -> str:
-    lines = ["digraph toda {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v.word_str()}" [label="{label(v)}"];')
-    for a, b, i in graph.edges:
-        lines.append(f'  "{a.word_str()}" -> "{b.word_str()}" [label="s{i}"];')
+def _dot(name: str, vertices, edges) -> str:
+    """A DOT digraph: each vertex named by its word and labeled by its 0/* string,
+    then each edge (source, target, attributes)."""
+    lines = [f"digraph {name} {{"]
+    lines += [f'  "{v.word_str()}" [label="{label(v)}"];' for v in vertices]
+    lines += [f'  "{a.word_str()}" -> "{b.word_str()}" [{attrs}];' for a, b, attrs in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def toda_graph_dot(graph: TodaGraph) -> str:
+    return _dot("toda", graph.vertices, ((a, b, f'label="s{i}"') for a, b, i in graph.edges))
 
 
 def morse_graph_dot(W: WeylGroup, edges: tuple[MorseEdge, ...]) -> str:
-    lines = ["digraph morse_smale {"]
-    for v in W.elements:
-        lines.append(f'  "{v.word_str()}" [label="{label(v)}"];')
-    for e in edges:
-        style = "" if e.incidence else " style=dashed"
-        lines.append(
-            f'  "{e.source.word_str()}" -> "{e.target.word_str()}" '
-            f'[label="{e.incidence}"{style}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Edges are labeled by their incidence, and dashed when it is zero."""
+    return _dot("morse_smale", W.elements, (
+        (e.source, e.target, f'label="{e.incidence}"' + ("" if e.incidence else " style=dashed"))
+        for e in edges
+    ))
 
 
 # -- morse report ----------------------------------------------------------------

@@ -17,7 +17,7 @@ along its walk of a^-1 b; ``test_matches_tuple_indexed_reference`` and
 from __future__ import annotations
 
 from .errors import ConfigError, checked_index
-from .lie import CartanMatrix, WeylElement
+from .lie import CartanMatrix, WeylElement, _group_of
 
 
 def validate_signs(eps, rank: int) -> tuple[int, ...]:
@@ -80,4 +80,5 @@ def apply_weyl(w: WeylElement, eps) -> tuple[int, ...]:
     The Cartan matrix is that of w's group, and the result does not depend
     on the choice of reduced word.
     """
-    return _apply(w.word[::-1], eps, w.group.cartan)
+    C = _group_of(w).cartan  # before w.word is read
+    return _apply(w.word[::-1], eps, C)

@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, checked_index
+from .errors import ConfigError, checked_index, checked_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,10 +76,7 @@ class TodaState:
         if not self.a:
             raise ConfigError("rank must be at least 1")
         for x in (*self.a, *self.b, self.t):
-            try:
-                float(x)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ConfigError(f"coordinates and t must be real numbers: {e}") from None
+            _real(x, "coordinates and t must be real numbers")
 
     @property
     def rank(self) -> int:
@@ -88,6 +85,14 @@ class TodaState:
     @property
     def n(self) -> int:
         return len(self.a) + 1
+
+
+def _real(x, message: str) -> float:
+    """``float(x)``, or ``ConfigError("<message>: <why float() failed>")``."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as e:  # None or 'a'; 10 ** 400
+        raise ConfigError(f"{message}: {e}") from None
 
 
 def _lax_stack(a_rows, b_rows) -> np.ndarray:
@@ -107,7 +112,7 @@ def _lax_stack(a_rows, b_rows) -> np.ndarray:
 
 def assemble_matrix(state: TodaState) -> np.ndarray:
     """Lax matrix: unit superdiagonal, subdiagonal b, traceless diagonal."""
-    return _lax_stack([state.a], [state.b])[0]
+    return _lax_stack([checked_type(state, TodaState).a], [state.b])[0]
 
 
 # The loop is straight-line source generated for each rank and compiled on
@@ -211,9 +216,9 @@ def _floats(xs) -> tuple:
 
 def step(state: TodaState, dt: float) -> TodaState:
     """One classical Runge-Kutta step; a negative dt integrates backwards, and t + dt must not be t."""
+    t, dt = float(checked_type(state, TodaState).t), _real(dt, "dt must be a real number")
     if dt == 0 or not math.isfinite(dt):
         raise ConfigError(f"dt must be nonzero and finite, got {dt}")
-    t = float(state.t)
     if not math.isfinite(t):
         raise ConfigError(f"the start time must be finite, got {t}")
     if t + dt == t:
@@ -226,7 +231,7 @@ def step(state: TodaState, dt: float) -> TodaState:
 
 def chevalley_invariants(state: TodaState) -> tuple:
     """Power traces (tr X^2, ..., tr X^n) of the assembled matrix."""
-    return _invariant_rows([state.a], [state.b])[0]
+    return _invariant_rows([checked_type(state, TodaState).a], [state.b])[0]
 
 
 def _invariant_rows(a_rows: list, b_rows: list) -> list:
@@ -257,7 +262,8 @@ def eigenvalues(state: TodaState) -> np.ndarray:
 
 def subsystem(state: TodaState, A) -> TodaState:
     """Zero the b's indexed by A (one-based); the flow then freezes them."""
-    idx = {checked_index(i, 1, state.rank, "subsystem index") for i in A}
+    rank = checked_type(state, TodaState).rank
+    idx = {checked_index(i, 1, rank, "subsystem index") for i in A}
     b = tuple(0.0 if (i + 1) in idx else x for i, x in enumerate(state.b))
     return TodaState(state.a, b, state.t)
 
@@ -326,14 +332,18 @@ def integrate(
     t = 0, a step of 0), with the event at t.
     The threshold must be positive; inf counts only non-finite values.  The
     start time must be finite; t_max and dt must change the run's float times.
+    t_max, dt and threshold are read with float().
     """
+    t_max = _real(t_max, "t_max must be a real number")
+    dt = _real(dt, "dt must be a real number")
+    threshold = _real(threshold, "threshold must be a real number")
     if not 0 < dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {dt}")
     if not 0 < t_max < math.inf:
         raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     if not 0 < threshold:
         raise ConfigError(f"threshold must be positive, got {threshold}")
-    a, b = _floats(state.a), _floats(state.b)
+    a, b = _floats(checked_type(state, TodaState).a), _floats(state.b)
     t = float(state.t)
     if not math.isfinite(t):
         raise ConfigError(f"the start time must be finite, got {t}")

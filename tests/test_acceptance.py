@@ -167,7 +167,7 @@ def test_criterion_10_conjectured_betti_cross_check():
     assert value == groups[2].free_rank
     from todatopo.cli import _betti_table
 
-    rows = {r["k"]: r for r in _betti_table(3)}
+    rows = {r["k"]: r for r in _betti_table(3, betti_one(3))}
     assert rows[2]["value"] == value
     assert rows[2]["conjecture"] is True
     assert rows[1]["conjecture"] is False

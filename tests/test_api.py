@@ -41,6 +41,14 @@ class TestPublicNames:
         assert names == ["apply", "cols", "columns", "from_columns", "nnz", "rows"]
 
 
+_B2 = todatopo.generate_weyl_group(todatopo.cartan_matrix("B", 2))
+# An element whose group is a Cartan matrix, not a WeylGroup.
+_FORGED = todatopo.WeylElement(todatopo.cartan_matrix("B", 2), (1,), 1, 1)
+_STATE = todatopo.TodaState((0.0, 0.0), (1.0, 1.0))
+_ONE_ELEMENT = (todatopo.stable_set, todatopo.unstable_set, todatopo.label, todatopo.index,
+                todatopo.is_abelian_unstable)
+
+
 # Each call took a non-integral value and truncated it to an int, or (the
 # letter) failed with a TypeError.
 @pytest.mark.parametrize("call,error", [
@@ -96,6 +104,35 @@ class TestPublicNames:
     (lambda: todatopo.toda_graph("x"), todatopo.ConfigError),
     (lambda: todatopo.morse_smale_edges(todatopo.cartan_matrix("A", 2)), todatopo.ConfigError),
     (lambda: todatopo.morse_complex("x"), todatopo.ConfigError),
+    # A value that is not a Weyl element, or an element whose group is not a
+    # WeylGroup, raised an AttributeError; so did a value that is not a diagram
+    # or a state.  An element of a group of another rank than the diagram's or
+    # the sign vector's was already rejected.
+    *((lambda f=f, x=x: f(x), todatopo.ConfigError) for f in _ONE_ELEMENT for x in ("x", _FORGED)),
+    (lambda: todatopo.apply_weyl("s1", (1, 1)), todatopo.ConfigError),
+    (lambda: todatopo.apply_weyl(_FORGED, (1, 1)), todatopo.ConfigError),
+    (lambda: todatopo.apply_weyl(_B2[1], (1, 1, 1)), todatopo.ConfigError),
+    (lambda: todatopo.ws_act_oriented("x", todatopo.ColoredDynkinDiagram(2, 0b11)), todatopo.ConfigError),
+    (lambda: todatopo.ws_act_oriented(_FORGED, todatopo.ColoredDynkinDiagram(2, 0b11)),
+     todatopo.ConfigError),
+    (lambda: todatopo.ws_act_oriented(_B2[1], todatopo.ColoredDynkinDiagram(3, 0b111)),
+     todatopo.ConfigError),
+    (lambda: todatopo.ws_act_oriented(_B2[1], "RB"), todatopo.ConfigError),
+    (lambda: todatopo.ws_act_on_diagram(3, todatopo.ColoredDynkinDiagram(2, 0b11)), todatopo.ConfigError),
+    (lambda: todatopo.ws_act_on_diagram(_FORGED, todatopo.ColoredDynkinDiagram(2, 0b11)),
+     todatopo.ConfigError),
+    (lambda: todatopo.ws_act_on_diagram(_B2[1], "RB"), todatopo.ConfigError),
+    (lambda: todatopo.diagram_boundary("x", 1, 1), todatopo.ConfigError),
+    *((lambda f=f: f("x"), todatopo.ConfigError) for f in (
+        todatopo.assemble_matrix, todatopo.chevalley_invariants, todatopo.eigenvalues,
+        lambda s: todatopo.subsystem(s, [1]), lambda s: todatopo.step(s, 0.1),
+        lambda s: todatopo.integrate(s, 1.0, 0.1))),
+    # float() fails on these; they raised a TypeError.
+    (lambda: todatopo.integrate(_STATE, None, 0.1), todatopo.ConfigError),
+    (lambda: todatopo.integrate(_STATE, 1.0, "x"), todatopo.ConfigError),
+    (lambda: todatopo.integrate(_STATE, 1.0, 0.1, threshold=[1e8]), todatopo.ConfigError),
+    (lambda: todatopo.integrate(_STATE, 10**400, 0.1), todatopo.ConfigError),
+    (lambda: todatopo.step(_STATE, None), todatopo.ConfigError),
 ], ids=["from_map-vertex", "from_map-color", "from_map-rank", "from_map-rank-str",
        "validate_signs", "letter", "from_entries", "subsystem", "from_entries-nan", "from_entries-str", "from_entries-inf",
        "diagram_boundary-index", "enumerate_cells", "cell_count_formula-high",
@@ -105,7 +142,16 @@ class TestPublicNames:
        "eta-out-of-range", "from_columns-value", "from_columns-integral-float", "from_columns-row",
        "from_columns-int64", "build_chain_complex-group", "enumerate_cells-group",
        "cell_count_formula-group", "toda_graph-group", "morse_smale_edges-group",
-       "morse_complex-group"])
+       "morse_complex-group",
+       *(f"{f.__name__}-{x}" for f in _ONE_ELEMENT for x in ("non-element", "forged")),
+       "apply_weyl-non-element", "apply_weyl-forged", "apply_weyl-other-rank",
+       "ws_act_oriented-non-element", "ws_act_oriented-forged", "ws_act_oriented-other-rank",
+       "ws_act_oriented-diagram", "ws_act_on_diagram-non-element", "ws_act_on_diagram-forged",
+       "ws_act_on_diagram-diagram", "diagram_boundary-diagram",
+       *(f"{name}-state" for name in ("assemble_matrix", "chevalley_invariants", "eigenvalues",
+                                      "subsystem", "step", "integrate")),
+       "integrate-t_max-None", "integrate-dt-str", "integrate-threshold-list",
+       "integrate-t_max-overflow", "step-dt-None"])
 def test_non_integral_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

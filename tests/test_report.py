@@ -10,7 +10,10 @@ from todatopo import (
     build_chain_complex,
     cartan_matrix,
     generate_weyl_group,
+    label,
+    morse_smale_edges,
     report,
+    toda_graph,
 )
 
 from dense_reference import triplets
@@ -83,3 +86,39 @@ def test_boundaries_csv_writes_non_unit_values():
     cx = ChainComplex(((0, 1), (0, 1, 2)), (IntMatrix(0, 2), d1))
     assert "".join(report.boundaries_csv(cx)) == _reference_boundaries_csv(cx) == (
         "degree,row,col,value\n1,0,0,2\n1,0,1,-3\n1,1,0,-1\n1,1,2,1\n")
+
+
+# The two DOT writers as they were before they shared one, kept as the reference.
+def _reference_toda_graph_dot(graph):
+    lines = ["digraph toda {"]
+    for v in graph.vertices:
+        lines.append(f'  "{v.word_str()}" [label="{label(v)}"];')
+    for a, b, i in graph.edges:
+        lines.append(f'  "{a.word_str()}" -> "{b.word_str()}" [label="s{i}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_morse_graph_dot(W, edges):
+    lines = ["digraph morse_smale {"]
+    for v in W.elements:
+        lines.append(f'  "{v.word_str()}" [label="{label(v)}"];')
+    for e in edges:
+        style = "" if e.incidence else " style=dashed"
+        lines.append(
+            f'  "{e.source.word_str()}" -> "{e.target.word_str()}" '
+            f'[label="{e.incidence}"{style}];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2),
+])
+def test_dot_writers_match_the_reference(type_label, rank):
+    W = generate_weyl_group(cartan_matrix(type_label, rank))
+    graph, edges = toda_graph(W), morse_smale_edges(W)
+    assert any(e.incidence == 0 for e in edges)  # so the dashed style is compared too
+    assert report.toda_graph_dot(graph) == _reference_toda_graph_dot(graph)
+    assert report.morse_graph_dot(W, edges) == _reference_morse_graph_dot(W, edges)

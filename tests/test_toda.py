@@ -48,6 +48,13 @@ class TestState:
         assert integrate(s, 1.0, 0.1).a == integrate(TodaState((0.5,), (1.0,)), 1.0, 0.1).a
         assert chevalley_invariants(s) == chevalley_invariants(TodaState((0.5,), (1.0,)))
 
+    def test_readable_run_parameters_read_as_floats(self):
+        # float() reads t_max, dt and threshold too; a string raised a TypeError.
+        s = TodaState((0.5,), (1.0,))
+        assert step(s, "0.1") == step(s, 0.1)
+        got, want = integrate(s, "1", "0.1", threshold="1e8"), integrate(s, 1.0, 0.1)
+        assert (got.times, got.a, got.b) == (want.times, want.a, want.b)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the invariants of the start
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinates_allowed(self, x):
